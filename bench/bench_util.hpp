@@ -55,8 +55,9 @@ inline int threads_flag(const Flags& flags) {
 }
 
 /// Shared --engine / --shards flags: pick the execution engine carrying
-/// the runs (identical results across engines; the wall-clock profile
-/// differs).  Exits with a clean error on an unknown engine name.
+/// the runs and the sharded engine's shard count (identical results across
+/// engines; the wall-clock profile differs).  Exits 2 with a clean error
+/// on an unknown engine name.
 inline ExecConfig exec_flag(const Flags& flags) {
   ExecConfig exec;
   const std::string name = flags.get_string("engine", "stepped");

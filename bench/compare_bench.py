@@ -15,7 +15,7 @@ observed rate is the most stable estimator of achievable throughput there
 Usage:
   bench/compare_bench.py --binary build/bench/micro_engine \
       [--baseline BENCH_engine.json] [--tolerance 0.05] [--reps 2] \
-      [--filter 'BM_(Engine(Serial|Async|Parallel|Sbrb)|EngineSharded/4096|TrialFarm)'] \
+      [--filter 'BM_(Engine(Serial|Sbrb)|EngineSharded/4096|TrialFarm)'] \
       [--overhead BASE:PROBE:FRAC ...]
 
 --overhead compares two benchmarks WITHIN the current run (no baseline
@@ -92,7 +92,7 @@ def main() -> int:
                     help="allowed fractional slowdown (default 0.05)")
     ap.add_argument("--reps", type=int, default=2,
                     help="benchmark process invocations; best rate wins")
-    ap.add_argument("--filter", default="BM_(Engine(Serial|Async|Parallel)|EngineSbrb(Sharded)?/(1024|4096)|EngineSharded/4096|TrialFarm)",
+    ap.add_argument("--filter", default="BM_(EngineSerial|EngineSbrb(Sharded)?/(1024|4096)|EngineSharded/4096|TrialFarm)",
                     help="regex passed to --benchmark_filter")
     ap.add_argument("--overhead", action="append", default=[],
                     metavar="BASE:PROBE:FRAC",

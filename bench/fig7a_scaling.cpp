@@ -3,8 +3,7 @@
 // the "opt" lower bound.  L = 2 us, O = 1 us, eps = 6.93e-7.
 //
 //   ./fig7a_scaling [--max-n=16384] [--threads=0] [--trials=200] [--seed=1]
-//                   [--eps=...] [--engine=stepped|async|parallel|sharded]
-//                   [--shards=K]
+//                   [--eps=...] [--engine=stepped|sharded] [--shards=K]
 #include <cstdio>
 #include <vector>
 

@@ -4,7 +4,8 @@
 // be consistent under failures).
 //
 //   ./fig7b_scaling_failures [--max-n=16384] [--trials=200] [--seed=1]
-//                            [--threads=0] [--engine=...] [--shards=K]
+//                            [--threads=0] [--engine=stepped|sharded]
+//                            [--shards=K]
 #include <cstdio>
 #include <vector>
 

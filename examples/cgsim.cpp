@@ -8,12 +8,12 @@
 //           [--corr=6] [--f=1] [--pre-fail=3] [--online-fail=1]
 //           [--jitter=0] [--drop-prob=0] [--eps=6.93e-7] [--seed=1]
 //           [--rx=drain|one] [--threads=0] [--drain-extra=0] [--csv]
-//           [--engine=stepped|async|parallel|sharded] [--shards=K]
+//           [--engine=stepped|sharded] [--shards=K]
 //
 // --engine picks the execution engine carrying every trial (identical
 // results, different wall-clock profile; sharded is the scale engine for
-// million-node runs).  --shards sets the shard count (sharded) or worker
-// threads (parallel).
+// million-node runs).  --shards sets the sharded engine's shard count.
+// Unknown --engine or --rx values exit 2 listing the accepted set.
 //
 // Omitted --t/--corr are tuned from the analytic models at --eps.
 //
@@ -141,8 +141,12 @@ int main(int argc, char** argv) {
   }
   spec.pre_failures = pre;
   spec.online_failures = online;
-  spec.rx = flags.get_string("rx", "drain") == "one" ? RxPolicy::kOnePerStep
-                                                     : RxPolicy::kDrainAll;
+  const std::string rx_s = flags.get_string("rx", "drain");
+  if (rx_s != "drain" && rx_s != "one") {
+    std::fprintf(stderr, "unknown --rx=%s (drain, one)\n", rx_s.c_str());
+    return 2;
+  }
+  spec.rx = rx_s == "one" ? RxPolicy::kOnePerStep : RxPolicy::kDrainAll;
 
   const std::string engine_s = flags.get_string("engine", "stepped");
   if (!engine_from_name(engine_s, spec.exec.engine)) {

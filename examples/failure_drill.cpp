@@ -10,7 +10,7 @@
 //                   [--restart=0] [--stragglers=0] [--reliable]
 //                   [--byz=K] [--byz-mode=silent|equivocator|corruptor|spammer]
 //                   [--byz-root]
-//                   [--engine=stepped|async|parallel|sharded] [--shards=K]
+//                   [--engine=stepped|sharded] [--shards=K]
 //                   [--heartbeat=SECONDS]
 //
 // With --byz=K the drill adds an SBRB row and a "consistent" column: the

@@ -2,6 +2,10 @@
 // level on a 1024-node system and print what happened.
 //
 //   ./quickstart [--n=1024] [--threads=0] [--seed=1]
+//
+// reliable_broadcast() runs on the multi-threaded runtime, the window-
+// sharded engine; --threads is its shard count (0 = one per hardware
+// thread) and does not change the output.
 #include <cstdio>
 
 #include "common/flags.hpp"

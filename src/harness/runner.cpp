@@ -13,8 +13,6 @@
 #include "gossip/ocg.hpp"
 #include "gossip/ocg_chain.hpp"
 #include "gossip/sbrb.hpp"
-#include "runtime/parallel_engine.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/fault/validate.hpp"
 
@@ -38,16 +36,13 @@ const char* algo_name(Algo a) {
 const char* engine_name(EngineKind k) {
   switch (k) {
     case EngineKind::kStepped: return "stepped";
-    case EngineKind::kAsync: return "async";
-    case EngineKind::kParallel: return "parallel";
     case EngineKind::kSharded: return "sharded";
   }
   return "?";
 }
 
 bool engine_from_name(std::string_view name, EngineKind& out) {
-  for (EngineKind k : {EngineKind::kStepped, EngineKind::kAsync,
-                       EngineKind::kParallel, EngineKind::kSharded}) {
+  for (EngineKind k : {EngineKind::kStepped, EngineKind::kSharded}) {
     if (name == engine_name(k)) {
       out = k;
       return true;
@@ -56,7 +51,7 @@ bool engine_from_name(std::string_view name, EngineKind& out) {
   return false;
 }
 
-const char* engine_names_list() { return "stepped, async, parallel, sharded"; }
+const char* engine_names_list() { return "stepped, sharded"; }
 
 namespace {
 
@@ -135,14 +130,6 @@ struct FreshEngineRunner {
     switch (exec.engine) {
       case EngineKind::kStepped: {
         Engine<Node> eng(rcfg, std::move(params));
-        return eng.run();
-      }
-      case EngineKind::kAsync: {
-        AsyncEngine<Node> eng(rcfg, std::move(params));
-        return eng.run();
-      }
-      case EngineKind::kParallel: {
-        ParallelEngine<Node> eng(rcfg, std::move(params), exec.threads);
         return eng.run();
       }
       case EngineKind::kSharded: {

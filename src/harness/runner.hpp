@@ -49,19 +49,17 @@ struct AlgoConfig {
 /// that take user input should surface config_error() themselves first.
 RunMetrics run_once(Algo algo, const AlgoConfig& acfg, const RunConfig& rcfg);
 
-/// Which execution engine carries the run.  All four share the simulation
+/// Which execution engine carries the run.  Both share the simulation
 /// core (src/sim/core/) and produce identical metrics for the same
 /// RunConfig; they differ in scheduling strategy and wall-clock profile.
 enum class EngineKind : std::uint8_t {
-  kStepped,   ///< serial step loop (sim/engine.hpp) - the default
-  kAsync,     ///< event-driven (sim/async_engine.hpp)
-  kParallel,  ///< multi-threaded stepped (runtime/parallel_engine.hpp)
-  kSharded,   ///< window-sharded SoA engine (sim/sharded_engine.hpp)
+  kStepped,  ///< serial step loop (sim/engine.hpp) - the default and oracle
+  kSharded,  ///< window-sharded SoA engine (sim/sharded_engine.hpp)
 };
 
 const char* engine_name(EngineKind k);
 
-/// Parse an engine name ("stepped", "async", "parallel", "sharded") into
+/// Parse an engine name ("stepped", "sharded") into
 /// `out`.  Returns false (leaving `out` untouched) on an unknown name -
 /// drivers share this so every --engine flag accepts the same spellings
 /// and fails the same way.
@@ -72,7 +70,7 @@ const char* engine_names_list();
 
 struct ExecConfig {
   EngineKind engine = EngineKind::kStepped;
-  int threads = 1;  ///< kParallel: worker threads; kSharded: shard count
+  int threads = 1;  ///< kSharded: shard count (ignored by kStepped)
 };
 
 /// Run one trial on an explicitly chosen engine.

@@ -2,9 +2,10 @@
 // the analytic-drift check that compares an observed coloring trajectory to
 // the paper's c(t) recurrence (Lemma 1 / Eq. 1).
 //
-// StepSeries is a TraceSink, so it plugs into RunConfig::trace on any
-// engine (the parallel engine's barrier merge delivers events in step
-// order, same as the serial engines).  It turns the event stream into
+// StepSeries is a TraceSink, so it plugs into RunConfig::trace on either
+// engine (it buckets events by their step, so the sharded engine's
+// per-window, shard-ordered flush yields the same series as the stepped
+// engine's step-ordered stream).  It turns the event stream into
 // per-step vectors:
 //   * colored(t)        - cumulative colored-node count at end of step t;
 //   * sends by phase    - gossip / correction / SOS / tree emissions;

@@ -11,8 +11,8 @@
 // Determinism contract (tested in test_telemetry.cpp): the coloring-latency
 // and inbox-depth histograms, the counters, and the retransmit histogram
 // depend only on the per-step event MULTISET, which the engine parity suite
-// already guarantees identical across the stepped / async / parallel /
-// sharded engines at any shard or thread count.  Merging per-shard cells is
+// already guarantees identical across the stepped and sharded engines at
+// any shard or thread count.  Merging per-shard cells is
 // commutative bucket-count addition, so the partition into cells is
 // invisible in the merged result.  The per-window boundary-traffic
 // histogram is the deliberate exception: boundary traffic is a property of
@@ -323,17 +323,23 @@ class Heartbeat {
       : out_(out), interval_(interval_s), label_(label),
         start_(std::chrono::steady_clock::now()) {}
 
-  /// Emit at most once per interval.  `done`/`total` are progress units
-  /// (trials, steps); total <= 0 means unknown (eta omitted as 0).
+  /// Emit at most once per interval (every beat at interval <= 0).
+  /// `done`/`total` are progress units (trials, steps); total <= 0 means
+  /// unknown (eta omitted as 0).
   void beat(std::int64_t done, std::int64_t total, std::int64_t failures) {
     if (out_ == nullptr) return;
+    if (interval_ <= 0) {
+      force(done, total, failures);
+      return;
+    }
+    if (elapsed_s() < next_due_s_.load(std::memory_order_relaxed)) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    // Read the clock under the lock: a beat whose clock read predates
+    // another thread's emit must not be judged against that emit's due time.
     const double t = elapsed_s();
     if (t < next_due_s_.load(std::memory_order_relaxed)) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (t < next_due_s_.load(std::memory_order_relaxed)) return;
     emit(done, total, failures, t);
-    next_due_s_.store(t + (interval_ > 0 ? interval_ : 0),
-                      std::memory_order_relaxed);
+    next_due_s_.store(t + interval_, std::memory_order_relaxed);
   }
 
   /// Unconditional emit (final summary line).

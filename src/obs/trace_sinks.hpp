@@ -1,9 +1,10 @@
 // Structured trace sinks: the observability layer's export side of the
 // engines' TraceSink hook (RunConfig::trace).
 //
-// All sinks here work with every execution engine: the stepped and async
-// engines call on_event() inline, and the parallel engine merges per-worker
-// buffers at the step barrier (single-threaded), so no sink needs locking.
+// All sinks here work with both execution engines: the stepped engine
+// calls on_event() inline, and the sharded engine flushes per-shard buffers
+// in shard order at the window barrier (single-threaded), so no sink needs
+// locking.
 //
 //   JsonlTraceSink    - one JSON object per line; lossless (from_jsonl()
 //                       parses back the exact event), greppable, streamable.

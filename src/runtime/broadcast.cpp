@@ -3,10 +3,6 @@
 #include <cstdio>
 
 #include "common/check.hpp"
-#include "gossip/ccg.hpp"
-#include "gossip/fcg.hpp"
-#include "gossip/ocg.hpp"
-#include "runtime/parallel_engine.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace cg {
@@ -42,32 +38,8 @@ BroadcastReport reliable_broadcast(const BroadcastOptions& opts,
   rcfg.seed = seed;
   rcfg.failures = opts.failures;
 
-  RunMetrics m;
-  switch (algo) {
-    case Algo::kOcg: {
-      OcgNode::Params p;
-      p.T = tuned.acfg.T;
-      p.corr_sends = tuned.acfg.ocg_corr_sends;
-      ParallelEngine<OcgNode> eng(rcfg, p, threads);
-      m = eng.run();
-      break;
-    }
-    case Algo::kCcg: {
-      CcgNode::Params p;
-      p.T = tuned.acfg.T;
-      ParallelEngine<CcgNode> eng(rcfg, p, threads);
-      m = eng.run();
-      break;
-    }
-    default: {
-      FcgNode::Params p;
-      p.T = tuned.acfg.T;
-      p.f = opts.f;
-      ParallelEngine<FcgNode> eng(rcfg, p, threads);
-      m = eng.run();
-      break;
-    }
-  }
+  const RunMetrics m =
+      run_once(algo, tuned.acfg, rcfg, {EngineKind::kSharded, threads});
 
   BroadcastReport rep;
   rep.algo = algo;

@@ -26,8 +26,8 @@ struct BroadcastOptions {
   double eps = 6.9315e-7;   ///< failure budget for the tuning models
   int f = 1;                ///< FCG resilience
   NodeId root = 0;
-  /// Worker threads for the parallel runtime; <= 0 = auto
-  /// (hardware_concurrency).
+  /// Shards (one worker thread each) for the sharded engine; <= 0 = auto
+  /// (hardware_concurrency).  Results do not depend on it.
   int threads = 1;
   FailureSchedule failures{};
 };
@@ -47,7 +47,8 @@ struct BroadcastReport {
 };
 
 /// Tune parameters for the requested consistency level, execute the
-/// broadcast on the multi-threaded runtime, and report the outcome.
+/// broadcast on the multi-threaded runtime (the window-sharded engine,
+/// `threads` shards), and report the outcome.
 BroadcastReport reliable_broadcast(const BroadcastOptions& opts,
                                    std::uint64_t seed = 1);
 

@@ -17,8 +17,8 @@
 //   void ctx_note_dropped(NodeId self);
 //   void ctx_adopt_payload(NodeId self, std::uint32_t digest);
 //
-// The host is the engine itself (serial, event-driven) or a per-worker view
-// of it (parallel), so engine-specific bookkeeping stays in the engine while
+// The host is the engine itself (stepped) or a per-shard view of it
+// (sharded), so engine-specific bookkeeping stays in the engine while
 // the protocol-facing API cannot drift between engines.
 #pragma once
 

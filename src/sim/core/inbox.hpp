@@ -5,13 +5,12 @@
 // pop_front bumps the head, and the buffer compacts only when fully
 // drained or when the dead prefix dominates.  Compared with the
 // std::deque<Message> the engines used before, pushes never allocate a
-// chunk after warm-up (the vector's capacity is recycled across steps,
-// the same slot-reuse discipline as the event kernel's slab), and the
-// storage is contiguous, which the engines rely on to canonically sort
+// chunk after warm-up (the vector's capacity is recycled across steps),
+// and the storage is contiguous, which the engines rely on to canonically sort
 // each step's newly arrived tail (rx_order_before) with std::sort.
 //
-// Thread-safety contract (parallel engine): one InboxBuf per node, only
-// ever touched by the node's owner worker.
+// Thread-safety contract: one InboxBuf per node, only ever touched by the
+// thread that owns the node.
 #pragma once
 
 #include <cstddef>

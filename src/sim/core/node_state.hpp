@@ -7,8 +7,8 @@
 // owns what "activated", "colored", "delivered", "completed" and "crashed"
 // MEAN, so the semantics cannot drift between engines.
 //
-// Thread-safety contract (parallel engine): every mutating call for node i
-// must come from the worker that owns i.  All fields are at least one byte
+// Thread-safety contract (sharded engine): every mutating call for node i
+// must come from the shard that owns i.  All fields are at least one byte
 // per node (no vector<bool> bit packing), so owner-disjoint access is free
 // of data races.
 #pragma once
@@ -242,7 +242,7 @@ class NodeStateStore {
   static std::size_t idx(NodeId i) { return static_cast<std::size_t>(i); }
 
   NodeId n_ = 0;
-  // std::uint8_t, not vector<bool>: the parallel engine writes these from
+  // std::uint8_t, not vector<bool>: the sharded engine writes these from
   // different threads for different nodes; byte-sized elements keep that
   // race-free under the C++ memory model.
   std::vector<std::uint8_t> alive_;

@@ -1,5 +1,5 @@
-// Run configuration shared by every execution engine (stepped, event-driven,
-// parallel).  The engines differ only in *scheduling*; everything that
+// Run configuration shared by both execution engines (stepped, sharded).
+// The engines differ only in *scheduling*; everything that
 // defines the simulated system - size, LogP parameters, RNG seeding, failure
 // schedule, network effects, receive policy - lives here so a RunConfig means
 // exactly the same thing no matter which engine executes it.

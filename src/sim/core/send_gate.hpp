@@ -7,9 +7,9 @@
 // node sending twice in one step escaped detection whenever another node's
 // send landed in between.)
 //
-// Thread-safety contract (parallel engine): on_send(from, ...) touches only
+// Thread-safety contract (sharded engine): on_send(from, ...) touches only
 // the sender's slot, and node `from`'s callbacks run only on its owner
-// worker.
+// shard.
 #pragma once
 
 #include <vector>

@@ -14,9 +14,10 @@
 // The model itself lives in src/sim/core/: NetworkModel (delays, jitter,
 // per-link extras, loss), NodeStateStore (lifecycle + RunMetrics
 // finalization), SendGate (emission rate limit) and BasicCtx (the protocol
-// -facing API).  This engine, the event-driven AsyncEngine and the
-// multi-threaded ParallelEngine are three schedulers over that one model
-// and produce identical RunMetrics (tests/test_engine_parity.cpp).
+// -facing API).  This engine and the window-sharded ShardedEngine
+// (sim/sharded_engine.hpp) are two schedulers over that one model and
+// produce identical RunMetrics (tests/test_engine_parity.cpp); this one is
+// the byte-parity oracle.
 //
 // Protocol (Node) requirements - a Node type must provide:
 //   struct Params {...};
@@ -445,8 +446,8 @@ RunMetrics Engine<Node>::run_impl() {
   const Step max_steps = cfg_.effective_max_steps();
   auto& due = due_;  // member scratch (capacity persists across runs)
   // Pending revivals count as outstanding work: the run must reach every
-  // scheduled restart so all engines agree on the final population (the
-  // event-driven engine drains its queue and would revive regardless).
+  // scheduled restart so the final population is a function of the
+  // schedule alone (the sharded engine reconstructs the same exit step).
   while (active_count_ > 0 || in_flight_ > 0 || next_revive < revives.size()) {
     if (step_ >= max_steps) {
       metrics_.hit_max_steps = true;

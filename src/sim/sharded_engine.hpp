@@ -21,9 +21,13 @@
 //   phase B: drain every other shard's parity outbox into the private
 //            calendar (owned destinations only).
 //
-// One barrier per WINDOW (the parallel engine pays one per STEP); the
-// second barrier is avoided with the same parity-double-buffered outboxes
-// (see runtime/parallel_engine.hpp).  Each due calendar slot is sorted by
+// One barrier per WINDOW.  The second barrier (between phase B and the
+// next phase A) is replaced by outboxes double-buffered by window parity:
+// phase A of window k writes outbox[k&1], phase B of window k reads every
+// shard's outbox[k&1], and the owner clears it again only at phase A of
+// window k+2 - after every reader has passed the barrier that ends window
+// k+1.  Phase B writes only calendars its shard owns, so B(k) and A(k+1)
+// overlap across shards freely.  Each due calendar slot is sorted by
 // (send step, sender) before dispatch - a unique key, since the SendGate
 // admits one emission per node per step - which realizes the canonical
 // (step, sender, dest) boundary-exchange order without caring how or when
@@ -572,7 +576,7 @@ template <class Node>
 RunMetrics ShardedEngine<Node>::run() {
   const auto n = static_cast<std::size_t>(cfg_.n);
   // 64-aligned contiguous blocks: bitmap words and byte arrays stay
-  // owner-disjoint (see runtime/parallel_engine.hpp).
+  // owner-disjoint, and each shard's writes stay on its own cache lines.
   block_ = (cfg_.n + static_cast<NodeId>(nshards_) - 1) /
            static_cast<NodeId>(nshards_);
   block_ = ((block_ + 63) / 64) * 64;

@@ -1,9 +1,11 @@
-// Cross-engine parity: the stepped, event-driven, parallel and window-
-// sharded engines all execute on the shared simulation core
-// (src/sim/core/) and must produce
-// IDENTICAL metrics for the same RunConfig - including with per-message
-// jitter, message loss, pre-run and online failures, and both receive
-// policies - for every corrected-gossip protocol.
+// Cross-engine parity: the stepped engine (the oracle) and the window-
+// sharded engine both execute on the shared simulation core
+// (src/sim/core/) and must produce IDENTICAL metrics for the same
+// RunConfig - including with per-message jitter, message loss, pre-run and
+// online failures, and both receive policies - for every corrected-gossip
+// protocol, at any shard count.  Shard counts include odd ones (3, 5, 7),
+// whose 64-node-aligned blocks leave trailing shards partly or wholly
+// empty on small runs.
 //
 // These tests carry the ctest label `sanitize`, so the tsan preset runs
 // the multi-threaded executions under ThreadSanitizer.
@@ -24,9 +26,6 @@
 namespace cg {
 namespace {
 
-// t_end is deliberately excluded: the engines agree on every event's step,
-// but report the quiescence point itself off-by-scheduling (the stepped
-// loop runs one trailing empty step).
 void expect_same(const RunMetrics& a, const RunMetrics& b) {
   EXPECT_EQ(a.n_total, b.n_total);
   EXPECT_EQ(a.n_active, b.n_active);
@@ -48,6 +47,20 @@ void expect_same(const RunMetrics& a, const RunMetrics& b) {
   EXPECT_EQ(a.all_active_delivered, b.all_active_delivered);
   EXPECT_EQ(a.sos_triggered, b.sos_triggered);
   EXPECT_EQ(a.hit_max_steps, b.hit_max_steps);
+  EXPECT_EQ(a.t_end, b.t_end);
+}
+
+// Runs `cfg` on the stepped oracle and on the sharded engine with `shards`
+// shards, and checks they agree; returns the oracle's metrics.
+RunMetrics expect_engines_agree(Algo algo, const AlgoConfig& acfg,
+                                const RunConfig& cfg, int shards) {
+  const RunMetrics serial =
+      run_once(algo, acfg, cfg, {EngineKind::kStepped, 1});
+  SCOPED_TRACE(std::string(algo_name(algo)) + " on " +
+               std::to_string(shards) + " shards");
+  expect_same(serial,
+              run_once(algo, acfg, cfg, {EngineKind::kSharded, shards}));
+  return serial;
 }
 
 // An adversarial-but-realistic system: jitter reorders messages, 2% of
@@ -105,20 +118,8 @@ TEST_P(EnginesAgree, OnHarshNetwork) {
   const RunConfig cfg = harsh_cfg(seed, rx);
   const AlgoConfig acfg = algo_cfg(algo);
 
-  const RunMetrics serial =
-      run_once(algo, acfg, cfg, {EngineKind::kStepped, 1});
-  const RunMetrics async = run_once(algo, acfg, cfg, {EngineKind::kAsync, 1});
-  const RunMetrics par2 =
-      run_once(algo, acfg, cfg, {EngineKind::kParallel, 2});
-  const RunMetrics par5 =
-      run_once(algo, acfg, cfg, {EngineKind::kParallel, 5});
-  const RunMetrics sh2 = run_once(algo, acfg, cfg, {EngineKind::kSharded, 2});
-
-  SCOPED_TRACE(algo_name(algo));
-  expect_same(serial, async);
-  expect_same(serial, par2);
-  expect_same(serial, par5);
-  expect_same(serial, sh2);
+  for (const int shards : {2, 3, 5})
+    expect_engines_agree(algo, acfg, cfg, shards);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -143,17 +144,8 @@ TEST_P(EnginesAgreeOnFaults, FullFaultStack) {
   AlgoConfig acfg = algo_cfg(algo);
   acfg.reliable.enabled = reliable;
 
-  const RunMetrics serial =
-      run_once(algo, acfg, cfg, {EngineKind::kStepped, 1});
-  const RunMetrics async = run_once(algo, acfg, cfg, {EngineKind::kAsync, 1});
-  const RunMetrics par3 =
-      run_once(algo, acfg, cfg, {EngineKind::kParallel, 3});
-  const RunMetrics sh4 = run_once(algo, acfg, cfg, {EngineKind::kSharded, 4});
-
-  SCOPED_TRACE(algo_name(algo));
-  expect_same(serial, async);
-  expect_same(serial, par3);
-  expect_same(serial, sh4);
+  expect_engines_agree(algo, acfg, cfg, 3);
+  const RunMetrics serial = expect_engines_agree(algo, acfg, cfg, 4);
   if (reliable) {
     EXPECT_GT(serial.msgs_retrans, 0);  // bursts force retries
   }
@@ -169,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Acceptance check for the fault layer: the canonically sorted JSONL trace
 // of a run under every fault model at once - including kLost and kRestart
-// events - is BYTE-IDENTICAL across all three engines.
+// events - is BYTE-IDENTICAL across engines and shard counts.
 TEST(EngineParity, FaultTraceJsonlIsByteIdenticalAcrossEngines) {
   AlgoConfig acfg = algo_cfg(Algo::kCcg);
   acfg.reliable.enabled = true;
@@ -189,11 +181,8 @@ TEST(EngineParity, FaultTraceJsonlIsByteIdenticalAcrossEngines) {
   EXPECT_FALSE(serial.empty());
   EXPECT_NE(serial.find("\"lost\""), std::string::npos);
   EXPECT_NE(serial.find("\"restart\""), std::string::npos);
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kAsync, 1));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kParallel, 2));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kParallel, 5));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 1));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 3));
+  for (const int shards : {1, 2, 3, 5})
+    EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, shards)) << shards;
 }
 
 // Node-level agreement: with record_node_detail every per-node coloring /
@@ -204,21 +193,14 @@ TEST(EngineParity, NodeDetailMatchesAcrossEngines) {
   const AlgoConfig acfg = algo_cfg(Algo::kFcg);
   const RunMetrics serial =
       run_once(Algo::kFcg, acfg, cfg, {EngineKind::kStepped, 1});
-  const RunMetrics async =
-      run_once(Algo::kFcg, acfg, cfg, {EngineKind::kAsync, 1});
-  const RunMetrics par =
-      run_once(Algo::kFcg, acfg, cfg, {EngineKind::kParallel, 3});
-  const RunMetrics sh =
-      run_once(Algo::kFcg, acfg, cfg, {EngineKind::kSharded, 2});
-  EXPECT_EQ(serial.colored_at, async.colored_at);
-  EXPECT_EQ(serial.colored_at, par.colored_at);
-  EXPECT_EQ(serial.colored_at, sh.colored_at);
-  EXPECT_EQ(serial.delivered_at, async.delivered_at);
-  EXPECT_EQ(serial.delivered_at, par.delivered_at);
-  EXPECT_EQ(serial.delivered_at, sh.delivered_at);
-  EXPECT_EQ(serial.completed_at, async.completed_at);
-  EXPECT_EQ(serial.completed_at, par.completed_at);
-  EXPECT_EQ(serial.completed_at, sh.completed_at);
+  for (const int shards : {2, 3}) {
+    const RunMetrics sh =
+        run_once(Algo::kFcg, acfg, cfg, {EngineKind::kSharded, shards});
+    SCOPED_TRACE(shards);
+    EXPECT_EQ(serial.colored_at, sh.colored_at);
+    EXPECT_EQ(serial.delivered_at, sh.delivered_at);
+    EXPECT_EQ(serial.completed_at, sh.completed_at);
+  }
 }
 
 using EvKey = std::tuple<Step, int, NodeId, NodeId, int>;
@@ -233,38 +215,36 @@ std::vector<EvKey> sorted_keys(const VectorTrace& t) {
   return keys;
 }
 
-// The parallel engine merges per-worker trace buffers at the step barrier;
-// within a step the worker interleaving is engine-specific, so compare the
-// event MULTISET, which must match the serial trace exactly.
-TEST(EngineParity, ParallelTraceMatchesSerialMultiset) {
-  const AlgoConfig acfg = algo_cfg(Algo::kCcg);
-  VectorTrace serial_trace, par_trace;
-  RunConfig cfg = harsh_cfg(11, RxPolicy::kDrainAll);
+// The sharded engine flushes per-shard trace buffers window by window, so
+// its raw event order differs from the stepped engine's; the event
+// MULTISET must match the serial trace exactly.
+void expect_trace_multiset_matches(Algo algo, const RunConfig& base,
+                                   int shards) {
+  const AlgoConfig acfg = algo_cfg(algo);
+  VectorTrace serial_trace, sharded_trace;
+  RunConfig cfg = base;
   cfg.trace = &serial_trace;
-  run_once(Algo::kCcg, acfg, cfg, {EngineKind::kStepped, 1});
-  cfg.trace = &par_trace;
-  run_once(Algo::kCcg, acfg, cfg, {EngineKind::kParallel, 4});
+  run_once(algo, acfg, cfg, {EngineKind::kStepped, 1});
+  cfg.trace = &sharded_trace;
+  run_once(algo, acfg, cfg, {EngineKind::kSharded, shards});
   EXPECT_FALSE(serial_trace.events().empty());
-  EXPECT_EQ(sorted_keys(serial_trace), sorted_keys(par_trace));
+  EXPECT_EQ(sorted_keys(serial_trace), sorted_keys(sharded_trace));
 }
 
-// The event-driven engine also traces; same multiset as the serial engine.
-TEST(EngineParity, AsyncTraceMatchesSerialMultiset) {
-  const AlgoConfig acfg = algo_cfg(Algo::kOcg);
-  VectorTrace serial_trace, async_trace;
-  RunConfig cfg = harsh_cfg(2, RxPolicy::kDrainAll);
-  cfg.trace = &serial_trace;
-  run_once(Algo::kOcg, acfg, cfg, {EngineKind::kStepped, 1});
-  cfg.trace = &async_trace;
-  run_once(Algo::kOcg, acfg, cfg, {EngineKind::kAsync, 1});
-  EXPECT_FALSE(serial_trace.events().empty());
-  EXPECT_EQ(sorted_keys(serial_trace), sorted_keys(async_trace));
+TEST(EngineParity, CcgShardedTraceMatchesSerialMultiset) {
+  expect_trace_multiset_matches(Algo::kCcg, harsh_cfg(11, RxPolicy::kDrainAll),
+                                3);
+}
+
+TEST(EngineParity, OcgShardedTraceMatchesSerialMultiset) {
+  expect_trace_multiset_matches(Algo::kOcg, harsh_cfg(2, RxPolicy::kDrainAll),
+                                5);
 }
 
 // Strongest trace-parity statement: after canonical sorting, the JSONL
-// serialization of a kOnePerStep run is BYTE-IDENTICAL across all three
-// engines.  (Raw emission order differs - worker interleaving, heap order -
-// which is exactly what obs::canonical_sort exists to factor out.)
+// serialization of a kOnePerStep run is BYTE-IDENTICAL across engines and
+// shard counts.  (Raw emission order differs - per-shard buffers flushed
+// per window - which is exactly what obs::canonical_sort factors out.)
 TEST(EngineParity, CanonicalJsonlIsByteIdenticalAcrossEngines) {
   const AlgoConfig acfg = algo_cfg(Algo::kFcg);
   const RunConfig base = harsh_cfg(17, RxPolicy::kOnePerStep);
@@ -281,10 +261,8 @@ TEST(EngineParity, CanonicalJsonlIsByteIdenticalAcrossEngines) {
 
   const std::string serial = canonical_jsonl(EngineKind::kStepped, 1);
   EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kAsync, 1));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kParallel, 2));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kParallel, 5));
-  EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 2));
+  for (const int shards : {2, 3, 5})
+    EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, shards)) << shards;
 }
 
 // The engines' self-profiles must agree on the callback counts (they run
@@ -302,24 +280,19 @@ TEST(EngineParity, ProfileCallbackCountsMatchAcrossEngines) {
   };
 
   const EngineProfile serial = profiled(EngineKind::kStepped, 1);
-  const EngineProfile async = profiled(EngineKind::kAsync, 1);
-  const EngineProfile par = profiled(EngineKind::kParallel, 3);
   const EngineProfile sh = profiled(EngineKind::kSharded, 3);
+  const EngineProfile sh5 = profiled(EngineKind::kSharded, 5);
   EXPECT_GT(serial.callbacks_receive, 0);
   EXPECT_GT(serial.callbacks_tick, 0);
-  EXPECT_EQ(serial.callbacks_start, async.callbacks_start);
-  EXPECT_EQ(serial.callbacks_receive, async.callbacks_receive);
-  EXPECT_EQ(serial.callbacks_tick, async.callbacks_tick);
-  EXPECT_EQ(serial.callbacks_start, par.callbacks_start);
-  EXPECT_EQ(serial.callbacks_receive, par.callbacks_receive);
-  EXPECT_EQ(serial.callbacks_tick, par.callbacks_tick);
-  EXPECT_EQ(serial.callbacks_start, sh.callbacks_start);
-  EXPECT_EQ(serial.callbacks_receive, sh.callbacks_receive);
-  EXPECT_EQ(serial.callbacks_tick, sh.callbacks_tick);
+  for (const EngineProfile* p : {&sh, &sh5}) {
+    EXPECT_EQ(serial.callbacks_start, p->callbacks_start);
+    EXPECT_EQ(serial.callbacks_receive, p->callbacks_receive);
+    EXPECT_EQ(serial.callbacks_tick, p->callbacks_tick);
+  }
 
   // Memory-plan accounting: every engine reports a positive per-node
   // footprint and the process peak RSS.
-  for (const EngineProfile* p : {&serial, &async, &par, &sh}) {
+  for (const EngineProfile* p : {&serial, &sh, &sh5}) {
     EXPECT_GT(p->bytes_per_node, 0);
     EXPECT_GT(p->peak_rss_bytes, 0);
   }
@@ -329,39 +302,25 @@ TEST(EngineParity, ProfileCallbackCountsMatchAcrossEngines) {
   EXPECT_EQ(static_cast<int>(sh.shard_stats.size()), 3);
   EXPECT_GT(sh.boundary_msgs, 0);  // 3 shards on 150 nodes must cross
 
-  // Queue instrumentation.  The stepped engines count delivery-calendar
-  // traffic (one event per undropped message), so serial and parallel must
-  // agree exactly, every staged message must drain, and nothing cancels.
+  // Delivery-calendar ledger: one event per undropped message, every
+  // staged message drains, and both engines count the same traffic.
   EXPECT_GT(serial.events_scheduled, 0);
   EXPECT_EQ(serial.events_fired, serial.events_scheduled);
-  EXPECT_EQ(serial.events_cancelled, 0);
-  EXPECT_EQ(par.events_scheduled, serial.events_scheduled);
-  EXPECT_EQ(par.events_fired, serial.events_fired);
-  EXPECT_EQ(par.events_cancelled, 0);
   EXPECT_GE(serial.queue_max_bucket, 1);
-  EXPECT_GE(par.queue_max_bucket, 1);
-
-  // The async engine counts kernel operations (ticks, delivery sweeps, rx
-  // pops, crash events) - a different unit, but the run drained the queue,
-  // so the operation ledger must balance, and the slot pool must have hit a
-  // recycling plateau far below the total operation count (the zero-
-  // allocation steady-state contract: live slots stay O(n), never O(events)).
-  EXPECT_GT(async.events_scheduled, 0);
-  EXPECT_EQ(async.events_fired + async.events_cancelled,
-            async.events_scheduled);
-  EXPECT_GE(async.queue_max_bucket, 1);
-  EXPECT_GT(async.queue_slot_capacity, 0);
-  EXPECT_LT(async.queue_slot_capacity, async.events_scheduled);
-  EXPECT_LE(async.queue_slot_capacity, 8 * base.n + 64);
+  for (const EngineProfile* p : {&sh, &sh5}) {
+    EXPECT_EQ(p->events_scheduled, serial.events_scheduled);
+    EXPECT_EQ(p->events_fired, serial.events_fired);
+    EXPECT_GE(p->queue_max_bucket, 1);
+  }
 }
 
 // ~100-seed randomized property test: a fresh fault stack per seed (jitter,
 // i.i.d. + burst loss, pre/online failures, crash-restarts, stragglers,
 // partitions, reliable sublayer, both rx policies, all four protocols), with
 // the canonically sorted JSONL trace required to be BYTE-IDENTICAL between
-// the stepped and event-driven engines (and the parallel engine on every
-// 10th seed).  This is the adversarial sweep for the event-kernel rewrite:
-// any batching or calendar-ordering slip shows up as a trace diff.
+// the stepped engine and the sharded engine on one shard (plus 2 shards on
+// every 5th seed and 3 and 5 shards on every 10th).  Any batching or
+// calendar-ordering slip shows up as a trace diff.
 TEST(EngineParity, RandomizedFaultStacksTraceByteParity) {
   constexpr int kSeeds = 100;
   for (int seed = 1; seed <= kSeeds; ++seed) {
@@ -430,46 +389,136 @@ TEST(EngineParity, RandomizedFaultStacksTraceByteParity) {
                  std::string(algo_name(algo)) + " n=" + std::to_string(cfg.n));
     const std::string serial = canonical_jsonl(EngineKind::kStepped, 1);
     ASSERT_FALSE(serial.empty());
-    ASSERT_EQ(serial, canonical_jsonl(EngineKind::kAsync, 1));
-    if (seed % 10 == 0) {
-      ASSERT_EQ(serial, canonical_jsonl(EngineKind::kParallel, 3));
-    }
+    ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 1));
     if (seed % 5 == 0) {
       ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 2));
+    }
+    if (seed % 10 == 0) {
+      ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 3));
+      ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 5));
     }
   }
 }
 
-// Acceptance spot-checks for the capabilities this PR unlocks.
+// Spot checks for the loss and receive-policy paths on the sharded engine.
 
-TEST(EngineParity, ParallelEngineSupportsDropProb) {
+TEST(EngineParity, ShardedEngineSupportsDropProb) {
   RunConfig cfg;
   cfg.n = 96;
   cfg.logp = LogP::unit();
   cfg.seed = 5;
   cfg.drop_prob = 0.15;
-  const AlgoConfig acfg = algo_cfg(Algo::kCcg);
   const RunMetrics serial =
-      run_once(Algo::kCcg, acfg, cfg, {EngineKind::kStepped, 1});
-  const RunMetrics par =
-      run_once(Algo::kCcg, acfg, cfg, {EngineKind::kParallel, 3});
-  expect_same(serial, par);
+      expect_engines_agree(Algo::kCcg, algo_cfg(Algo::kCcg), cfg, 3);
   EXPECT_TRUE(serial.all_active_colored);  // CCG corrects through 15% loss
 }
 
-TEST(EngineParity, AsyncEngineSupportsOnePerStep) {
+TEST(EngineParity, ShardedEngineSupportsOnePerStep) {
   RunConfig cfg;
   cfg.n = 64;
   cfg.logp = LogP::unit();
   cfg.seed = 9;
   cfg.rx = RxPolicy::kOnePerStep;
-  const AlgoConfig acfg = algo_cfg(Algo::kGos);
-  const RunMetrics serial =
-      run_once(Algo::kGos, acfg, cfg, {EngineKind::kStepped, 1});
-  const RunMetrics async =
-      run_once(Algo::kGos, acfg, cfg, {EngineKind::kAsync, 1});
-  expect_same(serial, async);
+  expect_engines_agree(Algo::kGos, algo_cfg(Algo::kGos), cfg, 5);
 }
+
+// Clean-network agreement per protocol at n = 200, parallel (sharded) vs
+// serial (stepped), over shard counts {1, 2, 3, 4, 5, 7} (from 3 shards on,
+// trailing 64-node blocks run empty). The suite is instantiated as
+// "Threads" after ExecConfig::threads, which carries the shard count.
+RunConfig clean_cfg(NodeId n, std::uint64_t seed) {
+  RunConfig cfg;
+  cfg.n = n;
+  cfg.logp = LogP::unit();
+  cfg.seed = seed;
+  return cfg;
+}
+
+AlgoConfig gossip_cfg(Step T, Step ocg_corr_sends = 0, int fcg_f = 1) {
+  AlgoConfig acfg;
+  acfg.T = T;
+  acfg.ocg_corr_sends = ocg_corr_sends;
+  acfg.fcg_f = fcg_f;
+  return acfg;
+}
+
+class ParallelMatchesSerial
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
+
+TEST_P(ParallelMatchesSerial, Ccg) {
+  const auto [shards, seed] = GetParam();
+  expect_engines_agree(Algo::kCcg, gossip_cfg(14), clean_cfg(200, seed),
+                       shards);
+}
+
+TEST_P(ParallelMatchesSerial, Ocg) {
+  const auto [shards, seed] = GetParam();
+  expect_engines_agree(Algo::kOcg, gossip_cfg(14, 8), clean_cfg(200, seed),
+                       shards);
+}
+
+TEST_P(ParallelMatchesSerial, Fcg) {
+  const auto [shards, seed] = GetParam();
+  expect_engines_agree(Algo::kFcg, gossip_cfg(14), clean_cfg(200, seed),
+                       shards);
+}
+
+TEST_P(ParallelMatchesSerial, FcgWithOnlineFailures) {
+  const auto [shards, seed] = GetParam();
+  RunConfig cfg = clean_cfg(200, seed);
+  cfg.failures.online.push_back({17, 8});
+  cfg.failures.online.push_back({91, 15});
+  const RunMetrics m =
+      expect_engines_agree(Algo::kFcg, gossip_cfg(14, 0, 2), cfg, shards);
+  EXPECT_TRUE(m.all_or_nothing_delivery());
+}
+
+TEST_P(ParallelMatchesSerial, Gos) {
+  const auto [shards, seed] = GetParam();
+  expect_engines_agree(Algo::kGos, gossip_cfg(16), clean_cfg(200, seed),
+                       shards);
+}
+
+TEST_P(ParallelMatchesSerial, Big) {
+  const auto [shards, seed] = GetParam();
+  expect_engines_agree(Algo::kBig, AlgoConfig{}, clean_cfg(200, seed),
+                       shards);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Threads, ParallelMatchesSerial,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 7),
+                       ::testing::Values<std::uint64_t>(3, 11)));
+
+// The same per-protocol agreement across system sizes on 3 shards: n = 17
+// fits one block, n = 64 exactly one, n = 200 spans two.
+class ShardedMatchesSteppedBySize
+    : public ::testing::TestWithParam<std::tuple<NodeId, std::uint64_t>> {};
+
+TEST_P(ShardedMatchesSteppedBySize, Gos) {
+  const auto [n, seed] = GetParam();
+  expect_engines_agree(Algo::kGos, gossip_cfg(16), clean_cfg(n, seed), 3);
+}
+
+TEST_P(ShardedMatchesSteppedBySize, Ocg) {
+  const auto [n, seed] = GetParam();
+  expect_engines_agree(Algo::kOcg, gossip_cfg(14, 10), clean_cfg(n, seed), 3);
+}
+
+TEST_P(ShardedMatchesSteppedBySize, Ccg) {
+  const auto [n, seed] = GetParam();
+  expect_engines_agree(Algo::kCcg, gossip_cfg(14), clean_cfg(n, seed), 3);
+}
+
+TEST_P(ShardedMatchesSteppedBySize, Fcg) {
+  const auto [n, seed] = GetParam();
+  expect_engines_agree(Algo::kFcg, gossip_cfg(14), clean_cfg(n, seed), 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, ShardedMatchesSteppedBySize,
+    ::testing::Combine(::testing::Values<NodeId>(17, 64, 200),
+                       ::testing::Values<std::uint64_t>(1, 5, 9)));
 
 }  // namespace
 }  // namespace cg

@@ -11,7 +11,7 @@
 #include "harness/runner.hpp"
 #include "gossip/timing.hpp"
 #include "proto/dedup.hpp"
-#include "runtime/parallel_engine.hpp"
+#include "sim/sharded_engine.hpp"
 #include "sim/topology.hpp"
 
 namespace cg {
@@ -216,14 +216,16 @@ TEST(Jitter, DeterministicAndMatchesAcrossEngines) {
   p.T = 12;
   Engine<CcgNode> serial1(cfg, p);
   Engine<CcgNode> serial2(cfg, p);
-  ParallelEngine<CcgNode> par(cfg, p, 3);
   const RunMetrics a = serial1.run();
   const RunMetrics b = serial2.run();
-  const RunMetrics c = par.run();
   EXPECT_EQ(a.msgs_total, b.msgs_total);
   EXPECT_EQ(a.t_last_colored, b.t_last_colored);
-  EXPECT_EQ(a.msgs_total, c.msgs_total);
-  EXPECT_EQ(a.t_last_colored, c.t_last_colored);
+  for (const int shards : {3, 5}) {
+    ShardedEngine<CcgNode> sh(cfg, p, shards);
+    const RunMetrics c = sh.run();
+    EXPECT_EQ(a.msgs_total, c.msgs_total) << shards;
+    EXPECT_EQ(a.t_last_colored, c.t_last_colored) << shards;
+  }
 }
 
 // ------------------------------------------------------- drain padding --

@@ -90,7 +90,14 @@ std::vector<SweepCase> sweep_cases() {
     for (const NodeId n : {2, 3, 17, 64, 129}) {
       for (const Step lo : {0, 1, 3}) {
         for (const std::uint64_t seed : {1ULL, 99ULL}) {
-          cases.push_back({a, n, lo, seed});
+          // Value-initialise so the padding after `algo` is zero: gtest
+          // prints the parameter's raw bytes into the test name.
+          SweepCase c{};
+          c.algo = a;
+          c.n = n;
+          c.l_over_o = lo;
+          c.seed = seed;
+          cases.push_back(c);
         }
       }
     }

@@ -1,6 +1,6 @@
 // Scale-ready telemetry: LogHistogram bucket math, the per-shard registry's
-// cross-engine determinism (fingerprints byte-identical across the stepped /
-// async / parallel / sharded engines at any shard or thread count, over a
+// cross-engine determinism (fingerprints byte-identical across the stepped
+// engine and the sharded engine at shard counts {1,2,3,5,8}, over a
 // 100-seed fault-stack sweep), the deterministic reservoir trace sampler,
 // the flight recorder's ring + dump/parse round-trip and its campaign
 // integration (a forced guarantee failure produces an artifact that is the
@@ -9,8 +9,9 @@
 // contract with telemetry attached.
 //
 // Carries the ctest label `sanitize`: the tsan preset exercises the
-// parallel/sharded recording paths under ThreadSanitizer (the allocation
-// guard compiles out there, as in test_trial_farm.cpp).
+// multi-shard recording paths and concurrent heartbeats under
+// ThreadSanitizer (the allocation guard compiles out there, as in
+// test_trial_farm.cpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +23,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/campaign.hpp"
@@ -244,9 +246,9 @@ EngineRun run_with_telemetry(const RunConfig& base, const ExecConfig& exec) {
 
 TEST(TelemetryDeterminism, HundredSeedSweepAcrossEnginesShardsThreads) {
   const ExecConfig variants[] = {
-      {EngineKind::kAsync, 1},    {EngineKind::kParallel, 1},
-      {EngineKind::kParallel, 8}, {EngineKind::kSharded, 1},
-      {EngineKind::kSharded, 2},  {EngineKind::kSharded, 8},
+      {EngineKind::kSharded, 1}, {EngineKind::kSharded, 2},
+      {EngineKind::kSharded, 3}, {EngineKind::kSharded, 5},
+      {EngineKind::kSharded, 8},
   };
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     const RunConfig cfg = sweep_cfg(seed);
@@ -517,6 +519,24 @@ TEST(Heartbeat, EngineAndFarmChannelsEmit) {
   spec.heartbeat = &hb;
   run_trials(spec);
   EXPECT_GE(hb.emitted(), engine_beats + 4);
+  std::fclose(f);
+}
+
+// Interval 0 means "emit every beat", also when several threads beat at
+// once (the trial farm's workers share one heartbeat).
+TEST(Heartbeat, ConcurrentBeatsAtIntervalZeroAllEmit) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  Heartbeat hb(f, 0.0, "test");
+  constexpr int kThreads = 4;
+  constexpr int kBeats = 250;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&hb] {
+      for (int i = 0; i < kBeats; ++i) hb.beat(i + 1, kBeats, 0);
+    });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(hb.emitted(), kThreads * kBeats);
   std::fclose(f);
 }
 
