@@ -114,9 +114,9 @@ void BM_EngineSbrb(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSbrb)->Arg(1024)->Arg(4096);
 
-// SBRB on the window-sharded SoA engine: the staged-send step kernel
-// sweeps the pending-sends bitmap instead of ticking every active node,
-// which is what makes the 65536-node runs feasible (docs/PERF.md §7).
+// SBRB on the window-sharded SoA engine: nodes with nothing queued sleep
+// until the deadline (the next_tick hook), so the tick sweep visits only
+// awake nodes - what makes the 65536-node runs feasible (docs/PERF.md §7).
 void BM_EngineSbrbSharded(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   const auto shards = static_cast<int>(state.range(1));

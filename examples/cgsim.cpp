@@ -14,6 +14,9 @@
 // results, different wall-clock profile; sharded is the scale engine for
 // million-node runs).  --shards sets the sharded engine's shard count.
 // Unknown --engine or --rx values exit 2 listing the accepted set.
+// Unknown flags, malformed numbers or booleans, --n/--trials/--shards/--o
+// below 1 and an --l that is negative or not a multiple of --o exit 2
+// naming the flag.
 //
 // Omitted --t/--corr are tuned from the analytic models at --eps.
 //
@@ -106,9 +109,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const auto n = static_cast<NodeId>(flags.get_int("n", 1024));
-  const LogP logp{.l_over_o = flags.get_int("l", 2) / flags.get_int("o", 1),
-                  .o_us = static_cast<double>(flags.get_int("o", 1))};
+  // Range checks come before tuning: the tuner and the engines assume
+  // N >= 1 and, as the paper does, that L is a multiple of O.
+  const auto n = static_cast<NodeId>(flags.get_int_at_least("n", 1024, 1));
+  const std::int64_t o = flags.get_int_at_least("o", 1, 1);
+  const std::int64_t l = flags.get_int_at_least("l", 2, 0);
+  if (l % o != 0)
+    flags.fail("l", "must be a multiple of --o=" + std::to_string(o));
+  const LogP logp{.l_over_o = l / o, .o_us = static_cast<double>(o)};
   const double eps = flags.get_double("eps", 6.9315e-7);
   const int f = static_cast<int>(flags.get_int("f", 1));
   const int pre = static_cast<int>(flags.get_int("pre-fail", 0));
@@ -119,7 +127,7 @@ int main(int argc, char** argv) {
   spec.n = n;
   spec.logp = logp;
   spec.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  spec.trials = static_cast<int>(flags.get_int("trials", 1000));
+  spec.trials = static_cast<int>(flags.get_int_at_least("trials", 1000, 1));
   spec.threads = static_cast<int>(flags.get_int("threads", 0));
   spec.jitter_max = flags.get_int("jitter", 0);
   spec.drop_prob = flags.get_double("drop-prob", flags.get_double("drop", 0.0));
@@ -154,17 +162,35 @@ int main(int argc, char** argv) {
                  engine_names_list());
     return 2;
   }
-  spec.exec.threads = static_cast<int>(flags.get_int("shards", 1));
+  spec.exec.threads = static_cast<int>(flags.get_int_at_least("shards", 1, 1));
+
+  const bool has_t = flags.has("t");
+  const Step t_flag = flags.get_int("t", 0);
+  const bool has_corr = flags.has("corr");
+  const Step corr_flag = flags.get_int("corr", 0);
+  const Step drain_extra = flags.get_int("drain-extra", 0);
+  const bool reliable = flags.get_bool("reliable", false);
+  const bool has_heartbeat = flags.has("heartbeat");
+  const double heartbeat_s = flags.get_double("heartbeat", 5.0);
+  const std::string trace_out = flags.get_string("trace-out", "");
+  const std::string series_out = flags.get_string("series-out", "");
+  const std::string report_out = flags.get_string("report-json", "");
+  const std::string sample_out = flags.get_string("sample-out", "");
+  const auto sample_k = static_cast<std::size_t>(
+      std::max<std::int64_t>(flags.get_int("sample-k", 4096), 1));
+  const bool histograms = flags.get_bool("histograms", false);
+  const Step series_stride = flags.get_int_at_least("series-stride", 1, 1);
+  const bool csv = flags.get_bool("csv", false);
+  flags.check_all_read();
 
   // Parameters: explicit flags override the model-tuned defaults.
   const TunedAlgo tuned = tune_for(algo, n, n - pre, logp, eps, f);
   spec.acfg = tuned.acfg;
-  if (flags.has("t")) spec.acfg.T = flags.get_int("t", spec.acfg.T);
-  if (flags.has("corr"))
-    spec.acfg.ocg_corr_sends = flags.get_int("corr", spec.acfg.ocg_corr_sends);
+  if (has_t) spec.acfg.T = t_flag;
+  if (has_corr) spec.acfg.ocg_corr_sends = corr_flag;
   spec.acfg.fcg_f = f;
-  spec.acfg.drain_extra = flags.get_int("drain-extra", 0);
-  spec.acfg.reliable.enabled = flags.get_bool("reliable", false);
+  spec.acfg.drain_extra = drain_extra;
+  spec.acfg.reliable.enabled = reliable;
 
   // Surface configuration problems as a friendly error instead of the
   // engine's CG_CHECK abort (e.g. out-of-range probabilities, a schedule
@@ -185,25 +211,14 @@ int main(int argc, char** argv) {
   // Progress heartbeat: single-line JSON on stderr, covering both the
   // trial farm and the observability replay.
   std::unique_ptr<Heartbeat> heartbeat;
-  if (flags.has("heartbeat"))
-    heartbeat = std::make_unique<Heartbeat>(
-        stderr, flags.get_double("heartbeat", 5.0), "cgsim");
+  if (has_heartbeat)
+    heartbeat = std::make_unique<Heartbeat>(stderr, heartbeat_s, "cgsim");
   spec.heartbeat = heartbeat.get();
 
   const TrialAggregate agg = run_trials(spec);
 
   // Observability replay: re-run trial #0 (exact same seed and failure
   // schedule) with trace sinks and an engine profile attached.
-  const std::string trace_out = flags.get_string("trace-out", "");
-  const std::string series_out = flags.get_string("series-out", "");
-  const std::string report_out = flags.get_string("report-json", "");
-  const std::string sample_out = flags.get_string("sample-out", "");
-  const bool histograms = flags.get_bool("histograms", false);
-  const Step series_stride = flags.get_int("series-stride", 1);
-  if (series_stride < 1) {
-    std::fprintf(stderr, "cgsim: --series-stride must be >= 1\n");
-    return 2;
-  }
   const bool observe = !trace_out.empty() || !series_out.empty() ||
                        !report_out.empty() || !sample_out.empty() ||
                        histograms;
@@ -238,9 +253,7 @@ int main(int argc, char** argv) {
     // shard/thread count.
     std::unique_ptr<obs::SamplingTraceSink> sampler;
     if (!sample_out.empty()) {
-      const auto k = static_cast<std::size_t>(
-          std::max<std::int64_t>(flags.get_int("sample-k", 4096), 1));
-      sampler = std::make_unique<obs::SamplingTraceSink>(rcfg.seed, k);
+      sampler = std::make_unique<obs::SamplingTraceSink>(rcfg.seed, sample_k);
       tee.add(sampler.get());
     }
     rcfg.trace = &tee;
@@ -339,7 +352,7 @@ int main(int argc, char** argv) {
                      static_cast<long long>(agg.msgs_forged_total),
                      static_cast<long long>(agg.msgs_suppressed_total))});
   }
-  if (flags.get_bool("csv", false))
+  if (csv)
     std::fputs(table.csv().c_str(), stdout);
   else
     table.print();

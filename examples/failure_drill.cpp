@@ -13,6 +13,9 @@
 //                   [--engine=stepped|sharded] [--shards=K]
 //                   [--heartbeat=SECONDS]
 //
+// Unknown flags, malformed values and --n/--trials/--shards below 1 exit 2
+// naming the flag.
+//
 // With --byz=K the drill adds an SBRB row and a "consistent" column: the
 // crash-model protocols keep their liveness numbers but lose payload
 // consistency under equivocation, while SBRB's sampled echo/ready quorums
@@ -31,8 +34,10 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = static_cast<NodeId>(flags.get_int("n", 512));
-  const int trials = static_cast<int>(flags.get_int("trials", 300));
+  const auto n = static_cast<NodeId>(flags.get_int_at_least("n", 512, 1));
+  const int trials =
+      static_cast<int>(flags.get_int_at_least("trials", 300, 1));
+  const int threads = static_cast<int>(flags.get_int("threads", 0));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const double drop_prob = flags.get_double("drop-prob", 0.0);
   const double burst_loss = flags.get_double("burst-loss", 0.0);
@@ -57,13 +62,14 @@ int main(int argc, char** argv) {
                  engine_names_list());
     return 2;
   }
-  exec.threads = static_cast<int>(flags.get_int("shards", 1));
+  exec.threads = static_cast<int>(flags.get_int_at_least("shards", 1, 1));
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-4;
   std::unique_ptr<Heartbeat> heartbeat;
   if (flags.has("heartbeat"))
     heartbeat = std::make_unique<Heartbeat>(
         stderr, flags.get_double("heartbeat", 5.0), "drill");
+  flags.check_all_read();
 
   std::printf("failure drill: N=%d, random crashes while the broadcast "
               "runs, %d trials per cell\n", n, trials);
@@ -86,7 +92,7 @@ int main(int argc, char** argv) {
     for (const int crashes : {0, 1, 3}) {
       const TunedAlgo tuned = tune_for(a, n, n, logp, eps, /*f=*/1);
       TrialSpec spec;
-      spec.threads = static_cast<int>(flags.get_int("threads", 0));
+      spec.threads = threads;
       spec.heartbeat = heartbeat.get();
       spec.exec = exec;
       spec.algo = a;

@@ -12,6 +12,8 @@
 //                    [--replay=scenario/entry/trial] [--replay-out=<file>]
 //
 // --strict makes a failed guarantee cell a non-zero exit (CI gate).
+// Unknown flags, malformed values and --n/--trials below 1 exit 2 naming
+// the flag.
 //
 // Byzantine tier (docs/FAULTS.md): --byz-grid swaps in the adversarial
 // grid - {clean, 5% equivocators, 10% equivocators, root equivocation} x
@@ -121,10 +123,10 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
 
   CampaignConfig cfg;
-  cfg.n = static_cast<NodeId>(flags.get_int("n", 128));
+  cfg.n = static_cast<NodeId>(flags.get_int_at_least("n", 128, 1));
   cfg.logp = LogP::piz_daint();
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
-  cfg.trials = static_cast<int>(flags.get_int("trials", 100));
+  cfg.trials = static_cast<int>(flags.get_int_at_least("trials", 100, 1));
   cfg.threads = static_cast<int>(flags.get_int("threads", 0));
 
   int byz_count = static_cast<int>(flags.get_int("byz", 0));
@@ -138,6 +140,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool byz_grid = flags.get_bool("byz-grid", false);
+  const std::string replay = flags.get_string("replay", "");
+  const std::string replay_out = flags.get_string("replay-out", "");
+  cfg.artifacts_dir = flags.get_string("artifacts-dir", "");
+  const bool has_heartbeat = flags.has("heartbeat");
+  const double heartbeat_s = flags.get_double("heartbeat", 5.0);
+  const std::string report_out = flags.get_string("report-json", "");
+  const bool strict = flags.get_bool("strict", false);
+  flags.check_all_read();
 
   const double eps = 1e-4;
   std::vector<CampaignEntry> entries;
@@ -165,12 +175,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string replay = flags.get_string("replay", "");
   if (!replay.empty())
-    return replay_trial(cfg, scenarios, entries, replay,
-                        flags.get_string("replay-out", ""));
+    return replay_trial(cfg, scenarios, entries, replay, replay_out);
 
-  cfg.artifacts_dir = flags.get_string("artifacts-dir", "");
   if (!cfg.artifacts_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(cfg.artifacts_dir, ec);
@@ -195,9 +202,8 @@ int main(int argc, char** argv) {
     }
   }
   std::unique_ptr<Heartbeat> heartbeat;
-  if (flags.has("heartbeat"))
-    heartbeat = std::make_unique<Heartbeat>(
-        stderr, flags.get_double("heartbeat", 5.0), "campaign");
+  if (has_heartbeat)
+    heartbeat = std::make_unique<Heartbeat>(stderr, heartbeat_s, "campaign");
   cfg.heartbeat = heartbeat.get();
 
   std::printf("fault campaign: N=%d, %d trials per cell, %zu scenarios x "
@@ -239,7 +245,6 @@ int main(int argc, char** argv) {
                 "command for that trial\n");
   }
 
-  const std::string report_out = flags.get_string("report-json", "");
   if (!report_out.empty()) {
     if (write_file(report_out, obs::to_json(result) + "\n")) {
       std::printf("report: %s\n", report_out.c_str());
@@ -250,6 +255,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (flags.get_bool("strict", false) && !result.all_pass()) return 3;
+  if (strict && !result.all_pass()) return 3;
   return 0;
 }

@@ -134,13 +134,6 @@ class CcgNode {
     if (off_ >= ring_.size() || (!s_fwd_ && !s_bwd_)) finish(ctx);
   }
 
-  /// Batched gossip-sweep contract (see GosNode::in_plain_gossip).  With
-  /// the reliable sublayer on, rel_.on_tick may own the step's slot, so
-  /// only the disabled configuration takes the fast path.
-  bool in_plain_gossip(Step now) const {
-    return !rel_.enabled() && !want_complete_ && now < p_.T;
-  }
-
   bool colored() const { return colored_; }
   bool is_g_node() const { return g_node_; }
   Step nearest_fwd() const { return m_fwd_; }

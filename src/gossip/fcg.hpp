@@ -264,14 +264,6 @@ class FcgNode {
     }
   }
 
-  /// Batched gossip-sweep contract (see GosNode::in_plain_gossip).  Only
-  /// g-nodes gossip, and every pre-gossip gate (reliable sublayer, pending
-  /// completion, SOS mode) must be inactive.
-  bool in_plain_gossip(Step now) const {
-    return !done_ && !p_.reliable.enabled && !want_complete_ && !sos_mode_ &&
-           g_node_ && now < p_.T;
-  }
-
   bool colored() const { return colored_; }
   bool is_g_node() const { return g_node_; }
   bool in_sos() const { return sos_mode_; }

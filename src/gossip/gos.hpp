@@ -51,11 +51,6 @@ class GosNode {
     if (now >= gossip_drain_end(T_, ctx.logp())) ctx.complete();
   }
 
-  /// True when on_tick at `now` would do exactly one plain-gossip emission
-  /// (plain_gossip_msg to rng().other_node) and nothing else - the sharded
-  /// engine's batched gossip sweep contract (sim/sharded_engine.hpp).
-  bool in_plain_gossip(Step now) const { return colored_ && now < T_; }
-
   bool colored() const { return colored_; }
 
  private:

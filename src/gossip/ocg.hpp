@@ -102,11 +102,6 @@ class OcgNode {
     }
   }
 
-  /// Batched gossip-sweep contract (see GosNode::in_plain_gossip).  A
-  /// ticking OCG node is always a colored g-node (c-nodes complete inside
-  /// their first on_receive), so the phase check alone decides.
-  bool in_plain_gossip(Step now) const { return now < p_.T; }
-
   bool colored() const { return colored_; }
   bool is_g_node() const { return g_node_; }
 

@@ -36,7 +36,9 @@
 // gossip/echo/ready; bulk: sample subscriptions), so the SendGate's
 // one-emission-per-step invariant holds on every engine.  Completion is a
 // fixed deadline step - reached whether or not delivery happened - so
-// runs terminate without a global convergence detector.
+// runs terminate without a global convergence detector.  A node with
+// nothing queued sleeps until the deadline (next_tick, the engines' sleep
+// hook), so idle nodes cost the tick sweeps nothing.
 //
 // Sample-generation determinism (docs/PERF.md §7): samples are computed
 // by a splitmix64 stream keyed on (run seed, node, phase) via
@@ -49,8 +51,7 @@
 // Two implementations share the wire protocol and exact behavior:
 //   * SbrbNode    - the production fast path: sorted flat sample arrays
 //     with binary-search membership, dense per-candidate counters,
-//     compact reusable send-staging slabs (zero-alloc steady state), and
-//     the staged-send kernel contract the sharded engine batches on;
+//     and compact reusable send-staging slabs (zero-alloc steady state);
 //   * SbrbRefNode - the stock Protocol-API implementation (linear scans,
 //     heap-allocated queues) kept as the oracle:
 //     tests/test_sbrb_fastpath.cpp pins SbrbNode's traces byte-for-byte
@@ -279,65 +280,19 @@ class SbrbNode {
       return;
     }
     if (sbrb_idle()) return;
-    const auto [to, m] = sbrb_pop_staged(now);
-    ctx.send(to, m);
-  }
-
-  // --- staged-send kernel contract (sim/sharded_engine.hpp) ---------------
-  // The sharded engine's SBRB step kernel replaces the per-node generic
-  // tick sweep with a sweep over the dense pending-sends bitmap: nodes
-  // with nothing staged cost nothing per step.  The contract relies on
-  // the protocol properties above: all activation happens in on_start,
-  // a tick before the deadline emits exactly the front staged message,
-  // and completion happens only at the deadline tick.
-
-  /// Nothing staged: a pre-deadline tick would be a no-op.
-  bool sbrb_idle() const { return empty(urgent_) && empty(bulk_); }
-
-  /// Pop the next staged message exactly as a pre-deadline on_tick would
-  /// (urgent before bulk), materializing the wire Message.  Requires
-  /// !sbrb_idle().
-  std::pair<NodeId, Message> sbrb_pop_staged(Step now) {
+    // Urgent before bulk; the wire Message is materialized at pop time.
     auto& q = !empty(urgent_) ? urgent_ : bulk_;
     const Staged st = q.items[q.head++];
     Message m;
     m.tag = st.tag;
     m.payload = st.payload;
     m.time = now;
-    return {st.to, m};
+    ctx.send(st.to, m);
   }
 
-  /// Prefetch hints for the engines' software-pipelined dispatch loops.
-  /// Receives are latency-bound on a dependent-load chain (node header ->
-  /// sample/subscriber data); issuing the second hop a couple of
-  /// deliveries early overlaps it with the preceding handlers.  Pure
-  /// reads - safe on any node in any state.
-  void sbrb_prefetch(Tag t) const {
-    const NodeId* const d = samples_.data();
-    switch (t) {
-      case Tag::kSbrbEcho:
-        __builtin_prefetch(d);  // echo segment leads the flat array
-        break;
-      case Tag::kSbrbReady:
-        __builtin_prefetch(d + r_off_);
-        __builtin_prefetch(d + d_off_);
-        break;
-      case Tag::kSbrbSubEcho:
-        __builtin_prefetch(echo_subs_.data());
-        break;
-      case Tag::kSbrbSubReady:
-        __builtin_prefetch(ready_subs_.data());
-        break;
-      default:  // kGossip reads only the header line
-        break;
-    }
-  }
-
-  /// Companion hint for the staged-send sweep: the pop's dependent line is
-  /// the front of whichever queue is up next.
-  void sbrb_prefetch_pop() const {
-    const auto& q = !empty(urgent_) ? urgent_ : bulk_;
-    if (q.head < q.items.size()) __builtin_prefetch(q.items.data() + q.head);
+  /// Sleep hook: before the deadline only a receive can stage a send.
+  Step next_tick(Step now) const {
+    return now < p_.deadline && sbrb_idle() ? p_.deadline : now;
   }
 
   bool colored() const { return candidate_ != 0; }
@@ -346,6 +301,9 @@ class SbrbNode {
   std::uint32_t candidate() const { return candidate_; }
 
  private:
+  /// Nothing staged: a pre-deadline tick would be a no-op.
+  bool sbrb_idle() const { return empty(urgent_) && empty(bulk_); }
+
   /// Per-candidate tallies.  Only validly signed digests get a slot, so
   /// two (kTruePayload + the root-equivocation kAltPayload) is the
   /// realistic maximum; the array guards the theoretical worst case.
@@ -530,11 +488,10 @@ class SbrbNode {
   // the node's FIRST line - the samples_ vector header leads, so its data
   // pointer, the segment offsets, the candidate word and the thresholds
   // (p_) are all available from one line fill, with the first candidate's
-  // tallies on the adjacent line.  The dispatch loops prefetch exactly
-  // this region a few deliveries ahead, which turns the 2-3 serial misses
-  // per receive of the naive layout into ~one (docs/PERF.md §7).  The
-  // exact-size heap sample array (vs an inline 3*kMaxSample array) also
-  // cuts the per-node footprint ~4x.
+  // tallies on the adjacent line.  The stepped engine's dispatch loop
+  // prefetches these two lines a few deliveries ahead (docs/PERF.md §7).
+  // The exact-size heap sample array (vs an inline 3*kMaxSample array)
+  // also cuts the per-node footprint ~4x.
   //
   // Sorted flat sample storage: samples_[0, r_off_) echo,
   // [r_off_, d_off_) ready, [d_off_, s_end_) delivery.

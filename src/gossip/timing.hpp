@@ -25,11 +25,7 @@ constexpr Step gossip_drain_end(Step T, const LogP& p) { return T + p.l_over_o; 
 constexpr Step corr_start(Step T, const LogP& p) { return T + p.delivery_delay(); }
 
 /// The ONE message shape every plain-gossip emission uses (GOS and the
-/// gossip phase of OCG/CCG/FCG): kGossip carrying the virtual time.  The
-/// sharded engine's batched gossip sweep emits this directly for nodes
-/// reporting in_plain_gossip(now), bypassing the per-node on_tick - the
-/// protocols' own ticks must build exactly this message for the fast
-/// path to be behavior-preserving (tests/test_sharded_engine.cpp).
+/// gossip phase of OCG/CCG/FCG): kGossip carrying the virtual time.
 constexpr Message plain_gossip_msg(Step now) {
   Message m;
   m.tag = Tag::kGossip;

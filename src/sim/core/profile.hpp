@@ -69,7 +69,7 @@ inline std::int64_t current_rss_bytes() {
 struct EngineProfile {
   std::int64_t callbacks_start = 0;
   std::int64_t callbacks_receive = 0;
-  std::int64_t callbacks_tick = 0;
+  std::int64_t callbacks_tick = 0;  ///< on_tick calls made (awake nodes)
   // Delivery-calendar counters: scheduled = routed messages, fired =
   // messages consumed.  fired <= scheduled, with equality on a drained run.
   std::int64_t events_scheduled = 0;

@@ -81,19 +81,6 @@ class SoaNodeStore {
   /// Bitmap of Active nodes (engine sweep acceleration; read-only).
   const PackedBits& active_bits() const { return active_; }
 
-  // --- dense SBRB state block (sharded SBRB step kernel) ------------------
-  // One bit per node: "has staged sends" (SbrbNode::sbrb_idle() == false).
-  // The sharded engine's SBRB kernel sweeps pending AND active instead of
-  // ticking every active node, so idle nodes cost nothing per step.  Only
-  // allocated when the engine asks for it; like the lifecycle bitmaps,
-  // words are owner-disjoint under 64-aligned shard blocks.
-
-  /// (Re)allocate and clear the pending-sends bitmap for n() nodes.
-  void reset_sbrb_block() { sbrb_pending_.reset(life_.n()); }
-  const PackedBits& sbrb_pending_bits() const { return sbrb_pending_; }
-  void sbrb_set_pending(NodeId i) { sbrb_pending_.set(i); }
-  void sbrb_clear_pending(NodeId i) { sbrb_pending_.clear(i); }
-
   // --- transitions (byte arrays + bitmaps updated together) --------------
   void pre_fail(NodeId i) { life_.pre_fail(i); }
 
@@ -153,7 +140,6 @@ class SoaNodeStore {
     return nodes_.capacity() * sizeof(Node) +
            rng_.capacity() * sizeof(Xoshiro256) +
            active_.footprint_bytes() + colored_.footprint_bytes() +
-           sbrb_pending_.footprint_bytes() +
            static_cast<std::size_t>(life_.n()) *
                (2 * sizeof(std::uint8_t) + 4 * sizeof(Step));
   }
@@ -169,7 +155,6 @@ class SoaNodeStore {
   NodeStateStore life_;
   PackedBits active_;   // mirrors state == kActive
   PackedBits colored_;  // mirrors colored_at != kNever
-  PackedBits sbrb_pending_;  // SBRB kernel: nodes with staged sends
   std::vector<Node> nodes_;
   std::vector<Xoshiro256> rng_;
 };

@@ -24,17 +24,22 @@
 //   Node(const Params&, NodeId self, NodeId n);
 //   template <class Ctx> void on_start(Ctx&);                // step 0, every alive node
 //   template <class Ctx> void on_receive(Ctx&, const Message&);
-//   template <class Ctx> void on_tick(Ctx&);                 // once per step while active
+//   template <class Ctx> void on_tick(Ctx&);                 // each awake step while active
+// and may provide the sleep hook (sim/core/wake_set.hpp):
+//   Step next_tick(Step now) const;  // no message => on_tick is a no-op
+//                                    // at every step before the result
 //
 // Nodes begin Idle (except the root, which is Active).  A node becomes
 // Active when it first receives a message, and Done when it calls
-// Ctx::complete().  Only Active nodes are ticked.  The run stops when no
-// node is Active and no message is in flight (or max_steps as a safety).
+// Ctx::complete().  Only Active, awake nodes are ticked: a node sleeps
+// after a tick when next_tick says its next ticks are no-ops, and wakes on
+// a receive or at its wake step.  The run stops when no node is Active and
+// no message is in flight (or max_steps as a safety); while every Active
+// node sleeps and nothing is in flight, the loop jumps straight to the
+// next wake, crash or revival step.
 #pragma once
 
 #include <algorithm>
-#include <concepts>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -44,13 +49,13 @@
 #include "obs/telemetry.hpp"
 #include "proto/message.hpp"
 #include "sim/core/basic_ctx.hpp"
-#include "sim/core/bitset.hpp"
 #include "sim/core/inbox.hpp"
 #include "sim/core/network_model.hpp"
 #include "sim/core/node_state.hpp"
 #include "sim/core/profile.hpp"
 #include "sim/core/run_config.hpp"
 #include "sim/core/send_gate.hpp"
+#include "sim/core/wake_set.hpp"
 #include "sim/failure.hpp"
 #include "sim/logp.hpp"
 #include "sim/metrics.hpp"
@@ -99,7 +104,9 @@ class Engine {
     do_send(from, to, m);
   }
   void ctx_activate(NodeId i) {
-    if (store_.activate(i, step_)) ++active_count_;
+    if (!store_.activate(i, step_)) return;
+    ++active_count_;
+    wake_.wake(i);
   }
   void ctx_mark_colored(NodeId i) {
     if (store_.mark_colored(i, step_, rx_payload_)) {
@@ -134,64 +141,10 @@ class Engine {
         nd.reset_for_run(p, NodeId{0}, NodeId{2});
       };
 
-  /// Does the protocol expose the SBRB staged-send kernel contract
-  /// (gossip/sbrb.hpp)?  Same kernel as sim/sharded_engine.hpp: on runs
-  /// with no crash schedule the per-step tick sweep walks the dense
-  /// pending-sends bitmap instead of every active node, and fully
-  /// quiescent spans (nothing staged, nothing in flight) fast-forward
-  /// straight to the deadline tick.  Traces and profile counts reproduce
-  /// the generic sweep exactly (tests/test_sbrb_fastpath.cpp): with no
-  /// crashes and SBRB's activate-all on_start, the active set is fixed
-  /// from step 1 until the deadline, and a pre-deadline tick of an idle
-  /// node is a no-op.
-  static constexpr bool kSbrbStaged =
-      requires(Node& nd, const Node& cnd, const typename Node::Params& p,
-               Step s) {
-        { cnd.sbrb_idle() } -> std::convertible_to<bool>;
-        {
-          nd.sbrb_pop_staged(s)
-        } -> std::convertible_to<std::pair<NodeId, Message>>;
-        { p.deadline } -> std::convertible_to<Step>;
-      };
-
-  struct DeliveryFull {
+  struct Delivery {
     NodeId to;
     Message msg;
   };
-  /// Compact calendar record for SBRB runs.  SBRB messages never carry
-  /// known[]/known_count/retrans (and every Byzantine transform leaves
-  /// them zero too), so {src, time, payload, tag} reconstructs the exact
-  /// Message - including its rx_order_before key - at 24 bytes instead of
-  /// 64.  Calendar traffic is the engine's largest streaming cost at
-  /// scale, so this matters (docs/PERF.md §7).
-  struct DeliveryCompact {
-    NodeId to;
-    NodeId src;
-    Step time;
-    std::uint32_t payload;
-    Tag tag;
-  };
-  using Delivery =
-      std::conditional_t<kSbrbStaged, DeliveryCompact, DeliveryFull>;
-  static Delivery make_delivery(NodeId to, const Message& m) {
-    if constexpr (kSbrbStaged) {
-      return {to, m.src, m.time, m.payload, m.tag};
-    } else {
-      return {to, m};
-    }
-  }
-  static Message delivery_msg(const Delivery& d) {
-    if constexpr (kSbrbStaged) {
-      Message m;
-      m.tag = d.tag;
-      m.src = d.src;
-      m.payload = d.payload;
-      m.time = d.time;
-      return m;
-    } else {
-      return d.msg;
-    }
-  }
 
   RunMetrics run_impl();
   void do_send(NodeId from, NodeId to, const Message& m);
@@ -223,8 +176,8 @@ class Engine {
   std::vector<Delivery> due_;                    // per-step scratch
   std::vector<OnlineFailure> online_scratch_;    // sorted crash schedule
   std::vector<Restart> revive_scratch_;          // sorted revival schedule
-  PackedBits sbrb_pending_;                      // kSbrbStaged kernel only
-  bool sbrb_kernel_ = false;                     // kernel engaged this run
+  WakeSet wake_;                                 // tick-sweep sleep state
+  Step next_wake_ = kNever;                      // earliest sleeper wake step
   std::int64_t in_flight_ = 0;
   NodeId active_count_ = 0;
   RunMetrics metrics_{};
@@ -273,7 +226,7 @@ void Engine<Node>::do_send(NodeId from, NodeId to, const Message& m) {
   out.src = from;
   auto& slot = calendar_[static_cast<std::size_t>(
       at % static_cast<Step>(calendar_.size()))];
-  slot.push_back(make_delivery(to, out));
+  slot.push_back({to, out});
   ++in_flight_;
   if (cfg_.profile != nullptr) {
     ++cfg_.profile->events_scheduled;
@@ -309,6 +262,7 @@ void Engine<Node>::dispatch(NodeId to, const Message& m) {
   --in_flight_;
   if (!store_.alive(to) || store_.done(to)) return;  // dropped
   if (store_.activate(to, step_)) ++active_count_;
+  wake_.wake(to);
   if (cfg_.trace != nullptr)
     trace({step_, TraceEvent::Kind::kDeliver, to, m.src, m.tag});
   if (cfg_.telemetry != nullptr)
@@ -318,15 +272,6 @@ void Engine<Node>::dispatch(NodeId to, const Message& m) {
   rx_payload_ = m.payload;  // ambient digest for ctx_mark_colored
   nodes_[static_cast<std::size_t>(to)].on_receive(ctx, m);
   rx_payload_ = 0;
-  if constexpr (kSbrbStaged) {
-    // Keep the dense pending-sends bitmap coherent: a receive is the only
-    // place a node can stage new sends mid-run.  The bitmap test runs
-    // first - it is cache-resident, while sbrb_idle() touches the node's
-    // queue headers, a line the receive handler often left cold.
-    if (sbrb_kernel_ && !sbrb_pending_.test(to) &&
-        !nodes_[static_cast<std::size_t>(to)].sbrb_idle())
-      sbrb_pending_.set(to);
-  }
 }
 
 template <class Node>
@@ -379,6 +324,8 @@ RunMetrics Engine<Node>::run_impl() {
   }
   in_flight_ = 0;
   active_count_ = 0;
+  wake_.reset(cfg_.n, kSleeps<Node>);
+  next_wake_ = kNever;
   metrics_ = RunMetrics{};
   step_ = 0;
 
@@ -417,30 +364,12 @@ RunMetrics Engine<Node>::run_impl() {
 
   // Start: root is active; everyone alive gets on_start.  The root counts
   // as activated at step 0 (colored at 0, first emission at step 1).
-  store_.activate(cfg_.root, 0);
-  ++active_count_;
-  // The staged-send kernel engages only without a crash schedule: lazy
-  // kills and restart revivals need the generic sweep's exact stepping
-  // (mirrors ShardedEngine's any_crash_ gate; pre-failed nodes are fine,
-  // they just never enter the active set).
-  sbrb_kernel_ = false;
-  if constexpr (kSbrbStaged)
-    sbrb_kernel_ =
-        cfg_.failures.online.empty() && cfg_.failures.restarts.empty();
+  ctx_activate(cfg_.root);
   for (NodeId i = 0; i < cfg_.n; ++i) {
     if (!store_.alive(i)) continue;
     if (prof != nullptr) ++prof->callbacks_start;
     Ctx ctx(*this, i);
     nodes_[static_cast<std::size_t>(i)].on_start(ctx);
-  }
-  if constexpr (kSbrbStaged) {
-    if (sbrb_kernel_) {
-      sbrb_pending_.reset(cfg_.n);
-      for (NodeId i = 0; i < cfg_.n; ++i)
-        if (store_.alive(i) && !store_.done(i) &&
-            !nodes_[static_cast<std::size_t>(i)].sbrb_idle())
-          sbrb_pending_.set(i);
-    }
   }
 
   const Step max_steps = cfg_.effective_max_steps();
@@ -476,14 +405,9 @@ RunMetrics Engine<Node>::run_impl() {
       prof->events_fired += static_cast<std::int64_t>(due.size());
     if (cfg_.rx == RxPolicy::kDrainAll) {
       // Receivers arrive in near-random order, so each dispatch starts
-      // with a cold miss on the target node.  Two-stage software pipeline:
-      // prefetch the node's header lines several entries ahead, then (for
-      // protocols with tag-directed hints) let the node prefetch the
-      // handler's dependent data - sample/subscriber lines - two entries
-      // ahead, once its header has arrived.  This overlaps the receive
-      // chain's serial misses with the preceding handlers.
-      constexpr bool kRxHint =
-          requires(const Node& cnd, Tag t) { cnd.sbrb_prefetch(t); };
+      // with a cold miss on the target node: prefetch the node's header
+      // lines several entries ahead to overlap those misses with the
+      // preceding handlers.
       for (std::size_t k = 0; k < due.size(); ++k) {
         if (k + 6 < due.size()) {
           const auto* nxt = reinterpret_cast<const char*>(
@@ -491,12 +415,7 @@ RunMetrics Engine<Node>::run_impl() {
           __builtin_prefetch(nxt);
           __builtin_prefetch(nxt + 64);
         }
-        if constexpr (kRxHint && kSbrbStaged) {
-          if (k + 2 < due.size())
-            nodes_[static_cast<std::size_t>(due[k + 2].to)].sbrb_prefetch(
-                due[k + 2].tag);
-        }
-        dispatch(due[k].to, delivery_msg(due[k]));
+        dispatch(due[k].to, due[k].msg);
       }
     } else {
       // Append this step's arrivals, then canonically order each inbox's
@@ -507,7 +426,7 @@ RunMetrics Engine<Node>::run_impl() {
           inbox_stamp_[idx] = step_;
           inbox_tail_[idx] = inbox_[idx].size();
         }
-        inbox_[idx].push_back(delivery_msg(d));
+        inbox_[idx].push_back(d.msg);
       }
       for (const auto& d : due) {
         const auto idx = static_cast<std::size_t>(d.to);
@@ -531,74 +450,45 @@ RunMetrics Engine<Node>::run_impl() {
       prof_phase0 = ProfileClock::now();
     }
 
-    // 3. ticks - a node activated at step c (first receive, or the root at
-    // step 0) may only emit from step c+1 (its receive occupied step c),
-    // so its first tick is skipped.
-    //
-    // SBRB staged-send kernel (see kSbrbStaged): between step 1 and the
-    // deadline only nodes with staged sends are visited; the deadline
-    // sweep and step 0 fall through to the generic loop (which completes
-    // everyone, resp. skips everyone as activated-this-step).
-    bool generic_ticks = true;
-    if constexpr (kSbrbStaged) {
-      if (sbrb_kernel_ && step_ > 0 && step_ < params_.deadline) {
-        generic_ticks = false;
-        if (in_flight_ == 0 && cfg_.heartbeat == nullptr &&
-            sbrb_pending_.none_in(0, cfg_.n)) {
-          // Fully quiescent: no message in flight, nothing staged, no
-          // crash schedule - nothing can happen before the deadline tick
-          // (or the max_steps cutoff).  Fast-forward, accounting the
-          // skipped steps' would-be ticks: the active set is fixed and
-          // every member was activated before this step.
-          const Step target = std::min(params_.deadline, max_steps);
-          if (prof != nullptr) {
-            prof->callbacks_tick +=
-                static_cast<std::int64_t>(active_count_) * (target - step_);
-            prof->tick_s += ProfileClock::seconds_since(prof_phase0);
-          }
-          step_ = target;
-          continue;
-        }
-        if (prof != nullptr) prof->callbacks_tick += active_count_;
-        constexpr bool kPopHint =
-            requires(const Node& cnd) { cnd.sbrb_prefetch_pop(); };
-        sbrb_pending_.for_each_set(0, cfg_.n, [&](NodeId i) {
-          // During the dribble phase the pending set is dense, so the next
-          // visited node is almost always i+1: prefetch i+2's queue
-          // headers now, and let i+1 (whose headers arrived last
-          // iteration) prefetch its queue front before we work on i.
-          if (i + 2 < cfg_.n)
-            __builtin_prefetch(
-                reinterpret_cast<const char*>(&nodes_[i + 2]) + 64);
-          if constexpr (kPopHint) {
-            if (i + 1 < cfg_.n)
-              nodes_[static_cast<std::size_t>(i + 1)].sbrb_prefetch_pop();
-          }
-          auto& nd = nodes_[static_cast<std::size_t>(i)];
-          if (nd.sbrb_idle()) {  // defensive: stale pending bit
-            sbrb_pending_.clear(i);
-            return;
-          }
-          const auto [to, m] = nd.sbrb_pop_staged(step_);
-          do_send(i, to, m);
-          if (nd.sbrb_idle()) sbrb_pending_.clear(i);
-        });
+    // 3. ticks over the Active, awake nodes - a node activated at step c
+    // (first receive, or the root at step 0) may only emit from step c+1
+    // (its receive occupied step c), so its first tick is skipped.  Awake
+    // bits of nodes that left the Active state are dropped on the way.
+    if (step_ >= next_wake_) next_wake_ = wake_.wake_due(0, cfg_.n, step_);
+    NodeId awake = 0;  // nodes left awake (a few may have just completed)
+    wake_.awake().for_each_set(0, cfg_.n, [&](NodeId i) {
+      if (store_.state(i) != NodeRunState::kActive) {
+        wake_.drop(i);
+        return;
       }
-    }
-    if (generic_ticks) {
-      for (NodeId i = 0; i < cfg_.n; ++i) {
-        if (store_.state(i) != NodeRunState::kActive ||
-            store_.activated_at(i) == step_)
-          continue;
-        if (prof != nullptr) ++prof->callbacks_tick;
-        Ctx ctx(*this, i);
-        nodes_[static_cast<std::size_t>(i)].on_tick(ctx);
+      ++awake;
+      if (store_.activated_at(i) == step_) return;
+      if (prof != nullptr) ++prof->callbacks_tick;
+      Ctx ctx(*this, i);
+      auto& nd = nodes_[static_cast<std::size_t>(i)];
+      nd.on_tick(ctx);
+      const Step wake = next_tick_of(nd, step_ + 1);
+      if (wake > step_ + 1 && store_.state(i) == NodeRunState::kActive) {
+        wake_.sleep(i, wake, next_wake_);
+        --awake;
       }
-    }
+    });
     if (prof != nullptr) prof->tick_s += ProfileClock::seconds_since(prof_phase0);
 
     ++step_;
-    if (cfg_.heartbeat != nullptr) cfg_.heartbeat->beat(step_, max_steps, 0);
+    if (cfg_.heartbeat != nullptr) {
+      cfg_.heartbeat->beat(step_, max_steps, 0);
+    } else if (awake == 0 && in_flight_ == 0 &&
+               (active_count_ > 0 || next_revive < revives.size())) {
+      // Quiescent: every Active node sleeps and nothing is in flight, so
+      // no step before the next wake, crash or revival can act.
+      Step next = std::min(next_wake_, max_steps);
+      if (next_failure < online.size())
+        next = std::min(next, online[next_failure].at_step);
+      if (next_revive < revives.size())
+        next = std::min(next, revives[next_revive].up_at);
+      step_ = std::max(step_, next);
+    }
   }
 
   if (prof != nullptr) {
@@ -606,7 +496,7 @@ RunMetrics Engine<Node>::run_impl() {
     prof->wall_s = ProfileClock::seconds_since(prof_run0);
     std::size_t fp = nodes_.capacity() * sizeof(Node) +
                      rng_.capacity() * sizeof(Xoshiro256) +
-                     store_.footprint_bytes() +
+                     store_.footprint_bytes() + wake_.footprint_bytes() +
                      due_.capacity() * sizeof(Delivery);
     for (const auto& slot : calendar_) fp += slot.capacity() * sizeof(Delivery);
     for (const auto& ib : inbox_) fp += ib.capacity() * sizeof(Message);

@@ -12,9 +12,9 @@
 //
 // Structure per window, for each shard:
 //   phase A: run the window's W steps locally - revivals, due deliveries,
-//            tick sweep over the Active bitmap; same-shard sends go
-//            straight into the private calendar, cross-shard sends into
-//            the shard's parity outbox;
+//            tick sweep over the Active AND awake bitmaps; same-shard
+//            sends go straight into the private calendar, cross-shard
+//            sends into the shard's parity outbox;
 //   barrier (SenseBarrier; completion folds per-shard deltas, flushes
 //            trace buffers in shard order, advances the window, decides
 //            termination);
@@ -45,17 +45,14 @@
 // active/in-flight/pending-restart condition true - so t_end, and with it
 // every RunMetrics field, matches the stepped engine.
 //
-// Protocols run unchanged through BasicCtx.  Nodes reporting
-// in_plain_gossip(now) (GOS and the gossip phase of OCG/CCG/FCG) take a
-// batched emission path that skips the generic on_tick while consuming
-// the same RNG stream, SendGate slot and message shape - behavior-
-// preserving by the plain_gossip_msg contract (gossip/timing.hpp).
-// Nodes exposing the SBRB staged-send contract (sbrb_idle/sbrb_pop_staged,
-// see gossip/sbrb.hpp) take a second kernel: on crash-free runs the tick
-// sweep walks the dense pending-sends bitmap (active AND pending) instead
-// of ticking every active node, so idle nodes cost nothing per step while
-// traces and profile counts stay byte-identical to the generic sweep
-// (docs/PERF.md §7).
+// Protocols run unchanged through BasicCtx, under the node contract of
+// sim/engine.hpp.  The tick sweep visits Active AND awake nodes only
+// (sim/core/wake_set.hpp): a node that reports via next_tick that its
+// next ticks are no-ops sleeps until a receive or its wake step, which is
+// capped at its pending crash step so a lazy kill still fires exactly on
+// schedule.  Each shard tracks the earliest wake step of its sleepers;
+// when nothing is in flight and no shard has an awake Active node, the
+// next window starts at the earliest wake or revival step instead.
 //
 // Shard workers run on the persistent process-wide cg_pool (ROADMAP item:
 // no per-run std::thread spawns).  One parallel_for spans the whole run -
@@ -66,13 +63,11 @@
 
 #include <algorithm>
 #include <array>
-#include <concepts>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "gossip/timing.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/sync_barrier.hpp"
 #include "runtime/thread_pool.hpp"
@@ -84,6 +79,7 @@
 #include "sim/core/run_config.hpp"
 #include "sim/core/send_gate.hpp"
 #include "sim/core/soa_store.hpp"
+#include "sim/core/wake_set.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 
@@ -146,27 +142,6 @@ class ShardedEngine {
   RunMetrics run();
 
  private:
-  /// Does the protocol expose the batched plain-gossip contract?
-  static constexpr bool kPlainGossip =
-      requires(const Node& nd) { nd.in_plain_gossip(Step{0}); };
-
-  /// Does the protocol expose the SBRB staged-send kernel contract
-  /// (gossip/sbrb.hpp)?  The kernel additionally relies on the protocol
-  /// properties documented there: every node activates in on_start, a
-  /// pre-deadline tick emits exactly the front staged message, and
-  /// completion happens only at the deadline tick.  It engages on runs
-  /// with no crash schedule (any_crash_ == false); faulted runs use the
-  /// generic sweep, which applies lazy kills at exact scheduled steps.
-  static constexpr bool kSbrbStaged =
-      requires(Node& nd, const Node& cnd, const typename Node::Params& p,
-               Step s) {
-        { cnd.sbrb_idle() } -> std::convertible_to<bool>;
-        {
-          nd.sbrb_pop_staged(s)
-        } -> std::convertible_to<std::pair<NodeId, Message>>;
-        { p.deadline } -> std::convertible_to<Step>;
-      };
-
   struct Delivery {
     Step sent_at;  ///< emission step; (sent_at, msg.src) is a unique key
     NodeId to;
@@ -190,6 +165,8 @@ class ShardedEngine {
     PackedBits inbox_bits;  // local nodes with a nonempty inbox
     std::vector<Restart> revives;  // owned revivals, sorted by up_at
     std::size_t next_revive = 0;
+    Step next_wake = kNever;  ///< earliest wake step of the shard's sleepers
+    bool all_asleep = false;  ///< no Active node awake after the window
     // Per-window deltas, folded by the barrier completion.
     std::int64_t active_delta = 0;
     std::int64_t sent = 0;
@@ -272,8 +249,10 @@ class ShardedEngine {
   }
 
   void do_activate(int shard, NodeId i) {
-    if (soa_.activate(i, shards_[static_cast<std::size_t>(shard)].now))
-      ++shards_[static_cast<std::size_t>(shard)].active_delta;
+    auto& st = shards_[static_cast<std::size_t>(shard)];
+    if (!soa_.activate(i, st.now)) return;
+    ++st.active_delta;
+    wake_.wake(i);
   }
 
   void do_complete(int shard, NodeId i) {
@@ -311,6 +290,7 @@ class ShardedEngine {
     if (any_crash_) maybe_lazy_kill(shard, to, s);
     if (!soa_.alive(to) || soa_.done(to)) return;  // dropped
     do_activate(shard, to);
+    wake_.wake(to);
     if (cfg_.trace != nullptr)
       trace(shard, {s, TraceEvent::Kind::kDeliver, to, m.src, m.tag});
     // Cell = shard; node `to` is shard-owned, so the telemetry stamp/pend
@@ -325,12 +305,6 @@ class ShardedEngine {
     st.rx_payload = m.payload;  // ambient digest for ctx_mark_colored
     soa_.node(to).on_receive(ctx, m);
     st.rx_payload = 0;
-    if constexpr (kSbrbStaged) {
-      // Keep the dense pending-sends bitmap coherent: a receive is the
-      // only place a node can stage new sends mid-run.  `to` is shard-
-      // owned and blocks are 64-aligned, so the word is owner-disjoint.
-      if (!any_crash_ && !soa_.node(to).sbrb_idle()) soa_.sbrb_set_pending(to);
-    }
   }
 
   void trace(int shard, TraceEvent ev) {
@@ -372,9 +346,23 @@ class ShardedEngine {
     return active_count_ == 0 && in_flight_ == 0 && pending_restarts_ == 0;
   }
 
+  /// With nothing in flight: the first step at which any node can act
+  /// again - a wake or a revival, capped at `cap` - or 0 while some shard
+  /// still has an awake Active node.
+  Step next_event(Step cap) const {
+    Step next = cap;
+    for (const auto& st : shards_) {
+      if (!st.all_asleep) return 0;
+      next = std::min(next, st.next_wake);
+      if (st.next_revive < st.revives.size())
+        next = std::min(next, st.revives[st.next_revive].up_at);
+    }
+    return next;
+  }
+
   std::size_t footprint_bytes() const {
-    std::size_t fp = soa_.footprint_bytes() +
-                     static_cast<std::size_t>(cfg_.n) * sizeof(Step) * 3;
+    std::size_t fp = soa_.footprint_bytes() + wake_.footprint_bytes() +
+                     crash_at_.capacity() * sizeof(Step);
     for (const auto& st : shards_) {
       for (const auto& slot : st.calendar) fp += slot.capacity() * sizeof(Delivery);
       for (const auto& ob : st.outbox) fp += ob.capacity() * sizeof(Boundary);
@@ -390,12 +378,12 @@ class ShardedEngine {
   Step window_ = 1;   // W = L/O + 1, the conservative lookahead
 
   SoaNodeStore<Node> soa_;
+  WakeSet wake_;
   NetworkModel net_;
   SendGate gate_;
   ByzantineModel byz_;
   std::vector<Step> crash_at_;    // pending scheduled crash (kNever = none)
   bool any_crash_ = false;        // any online failure or restart scheduled
-  std::vector<Step> restart_up_;  // revive step (kNever = none)
   std::vector<ShardState> shards_;
 
   // Window bookkeeping (written single-threaded: setup or completion fn).
@@ -423,6 +411,7 @@ void ShardedEngine<Node>::run_window(int sidx, Step win_lo, Step win_hi) {
   const NodeId local_n = st.hi - st.lo;
   const std::int64_t boundary0 = st.boundary_msgs;
   bool did_work = false;
+  NodeId awake = 0;  // nodes the step's sweep left awake (some may be done)
 
   for (Step s = win_lo; s < win_hi; ++s) {
     st.now = s;
@@ -436,7 +425,6 @@ void ShardedEngine<Node>::run_window(int sidx, Step win_lo, Step win_hi) {
       did_work = true;
       maybe_lazy_kill(sidx, i, s);
       if (soa_.revive(i, params_)) {
-        restart_up_[static_cast<std::size_t>(i)] = kNever;
         ++st.revived;
         st.last_activity = std::max(st.last_activity, s);
         trace(sidx, {s, TraceEvent::Kind::kRestart, i, kNoNode, Tag::kGossip});
@@ -501,70 +489,34 @@ void ShardedEngine<Node>::run_window(int sidx, Step win_lo, Step win_hi) {
       });
     }
 
-    // 3. tick sweep.  Protocols with the SBRB staged-send contract get
-    // the dense kernel on crash-free runs: only nodes with staged sends
-    // are visited, while did_work/prof_tick reproduce the generic sweep's
-    // accounting exactly (with no crash schedule and SBRB's activate-all
-    // on_start, the active set is fixed until the deadline, so the
-    // generic sweep would tick every active node at every step s >= 1).
-    bool generic_ticks = true;
-    if constexpr (kSbrbStaged) {
-      if (!any_crash_) {
-        generic_ticks = false;
-        if (s >= params_.deadline) {
-          // Deadline sweep: every active node's tick is ctx.complete().
-          soa_.active_bits().for_each_set(st.lo, st.hi, [&](NodeId i) {
-            if (soa_.activated_at(i) == s) return;
-            did_work = true;
-            if (profiled) ++st.prof_tick;
-            do_complete(sidx, i);
-          });
-        } else if (s > 0) {
-          if (profiled)
-            st.prof_tick += soa_.active_bits().count_in(st.lo, st.hi);
-          if (!did_work && !soa_.active_bits().none_in(st.lo, st.hi))
-            did_work = true;
-          soa_.sbrb_pending_bits().for_each_set_and(
-              soa_.active_bits(), st.lo, st.hi, [&](NodeId i) {
-                if (soa_.activated_at(i) == s) return;
-                auto& nd = soa_.node(i);
-                if (nd.sbrb_idle()) {  // defensive: stale pending bit
-                  soa_.sbrb_clear_pending(i);
-                  return;
-                }
-                const auto [to, msg] = nd.sbrb_pop_staged(s);
-                do_send(sidx, i, to, msg);
-                if (nd.sbrb_idle()) soa_.sbrb_clear_pending(i);
-              });
-        }
-        // s == 0: on_start activated every node this step, so the
-        // generic sweep would skip them all - nothing to do.
-      }
-    }
-    // Generic sweep over the Active bitmap (idle/done nodes cost nothing -
-    // the flat-plan payoff).  A node activated this step skips its tick.
-    if (generic_ticks) soa_.active_bits().for_each_set(st.lo, st.hi, [&](NodeId i) {
+    // 3. tick sweep over the Active, awake nodes (idle, done and sleeping
+    // nodes cost nothing - the flat-plan payoff).  A node activated this
+    // step skips its tick.
+    if (s >= st.next_wake) st.next_wake = wake_.wake_due(st.lo, st.hi, s);
+    awake = 0;
+    soa_.active_bits().for_each_set_and(wake_.awake(), st.lo, st.hi,
+                                        [&](NodeId i) {
       if (any_crash_ && crash_at_[static_cast<std::size_t>(i)] <= s) {
         maybe_lazy_kill(sidx, i, s);
         return;
       }
+      ++awake;
       if (soa_.activated_at(i) == s) return;
       did_work = true;
       if (profiled) ++st.prof_tick;
-      if constexpr (kPlainGossip) {
-        if (soa_.node(i).in_plain_gossip(s)) {
-          // Batched plain-gossip emission: same RNG draw, SendGate slot
-          // and message as the protocol's own on_tick would produce.
-          do_send(sidx, i, soa_.rng(i).other_node(i, cfg_.n),
-                  plain_gossip_msg(s));
-          return;
-        }
-      }
       ShardView view{this, sidx};
       Ctx ctx(view, i);
-      soa_.node(i).on_tick(ctx);
+      auto& nd = soa_.node(i);
+      nd.on_tick(ctx);
+      const Step wake = next_tick_of(nd, s + 1);
+      if (wake > s + 1 && soa_.active_bits().test(i)) {
+        wake_.sleep(i, std::min(wake, crash_at_[static_cast<std::size_t>(i)]),
+                    st.next_wake);
+        --awake;
+      }
     });
   }
+  st.all_asleep = awake == 0;
   if (!did_work) ++st.window_stalls;
   // Per-window boundary traffic: a property of THIS shard layout (not part
   // of the engine-invariant telemetry slice; see obs/telemetry.hpp).
@@ -590,7 +542,6 @@ RunMetrics ShardedEngine<Node>::run() {
   byz_.reset(cfg_.n, cfg_.root, cfg_.seed, cfg_.byzantine);
   for (const auto& b : cfg_.byzantine.nodes) soa_.mark_byzantine(b.node);
   crash_at_.assign(n, kNever);
-  restart_up_.assign(n, kNever);
 
   const auto cal_slots = static_cast<std::size_t>(net_.max_delay()) + 1;
   shards_.assign(static_cast<std::size_t>(nshards_), ShardState{});
@@ -608,7 +559,7 @@ RunMetrics ShardedEngine<Node>::run() {
   metrics_ = RunMetrics{};
   any_crash_ =
       !cfg_.failures.online.empty() || !cfg_.failures.restarts.empty();
-  if constexpr (kSbrbStaged) soa_.reset_sbrb_block();
+  wake_.reset(cfg_.n, kSleeps<Node>);
   window_lo_ = 0;
   win_parity_ = 0;
   windows_done_ = 0;
@@ -626,7 +577,6 @@ RunMetrics ShardedEngine<Node>::run() {
   for (const auto& r : cfg_.failures.restarts) {
     const auto idx = static_cast<std::size_t>(r.node);
     crash_at_[idx] = std::min(crash_at_[idx], r.down_at);
-    restart_up_[idx] = r.up_at;
     shards_[static_cast<std::size_t>(owner_of(r.node))].revives.push_back(r);
     ++pending_restarts_;
   }
@@ -645,6 +595,7 @@ RunMetrics ShardedEngine<Node>::run() {
   // Start: single-threaded on_start at step 0; sends land directly in the
   // destination shard's calendar (in_start_ gates the outbox path).
   soa_.activate(cfg_.root, 0);
+  wake_.wake(cfg_.root);
   active_count_ = 1;
   in_start_ = true;
   for (NodeId i = 0; i < cfg_.n; ++i) {
@@ -655,14 +606,6 @@ RunMetrics ShardedEngine<Node>::run() {
     soa_.node(i).on_start(ctx);
   }
   in_start_ = false;
-  if constexpr (kSbrbStaged) {
-    // Seed the pending-sends bitmap from on_start's staged subscriptions
-    // (single-threaded; the per-window sweeps only maintain it from here).
-    if (!any_crash_)
-      for (NodeId i = 0; i < cfg_.n; ++i)
-        if (soa_.alive(i) && !soa_.node(i).sbrb_idle())
-          soa_.sbrb_set_pending(i);
-  }
   fold_deltas();
   last_activity_ = -1;  // on_start activity is folded into the t_end=0 case
   flush_traces();
@@ -685,7 +628,11 @@ RunMetrics ShardedEngine<Node>::run() {
         cfg_.heartbeat->beat(window_lo_, max_steps, 0);
       if (quiescent()) {
         stop_ = true;
-      } else if (window_lo_ >= max_steps) {
+        return;
+      }
+      if (in_flight_ == 0 && cfg_.heartbeat == nullptr)
+        window_lo_ = std::max(window_lo_, next_event(max_steps));
+      if (window_lo_ >= max_steps) {
         metrics_.hit_max_steps = true;
         stop_ = true;
       }

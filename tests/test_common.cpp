@@ -297,5 +297,25 @@ TEST(Flags, ParsesForms) {
   EXPECT_FALSE(f.has("m"));
 }
 
+TEST(Flags, StrictValuesAndUnreadKeys) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"prog",  "--a=off", "--b=yes",   "--c=0",
+                        "--d=ture", "--n=",  "--typo=1"};
+  Flags f(7, const_cast<char**>(argv));
+  EXPECT_FALSE(f.get_bool("a", true));
+  EXPECT_TRUE(f.get_bool("b", false));
+  EXPECT_FALSE(f.get_bool("c", true));
+  EXPECT_EXIT(f.get_bool("d", false), ::testing::ExitedWithCode(2),
+              "--d=ture: expected true/false");
+  EXPECT_EXIT(f.get_int("n", 1), ::testing::ExitedWithCode(2),
+              "--n=: expected an integer");
+  EXPECT_TRUE(f.has("d"));  // has() counts as a read
+  EXPECT_TRUE(f.has("n"));
+  EXPECT_EXIT(f.check_all_read(), ::testing::ExitedWithCode(2),
+              "--typo=1: unknown flag");
+  EXPECT_EQ(f.get_int_at_least("typo", 0, 1), 1);
+  f.check_all_read();  // every key has been read: returns
+}
+
 }  // namespace
 }  // namespace cg

@@ -7,12 +7,18 @@
 // whose 64-node-aligned blocks leave trailing shards partly or wholly
 // empty on small runs.
 //
+// The sleep contract (next_tick, sim/core/wake_set.hpp) is checked beyond
+// SBRB with a tests-only protocol, NapNode, that sleeps to several distinct
+// wake steps.
+//
 // These tests carry the ctest label `sanitize`, so the tsan preset runs
 // the multi-threaded executions under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <random>
 #include <set>
 #include <string>
@@ -20,7 +26,10 @@
 #include <vector>
 
 #include "harness/runner.hpp"
+#include "obs/report.hpp"
 #include "obs/trace_sinks.hpp"
+#include "sim/engine.hpp"
+#include "sim/sharded_engine.hpp"
 #include "sim/trace.hpp"
 
 namespace cg {
@@ -519,6 +528,206 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, ShardedMatchesSteppedBySize,
     ::testing::Combine(::testing::Values<NodeId>(17, 64, 200),
                        ::testing::Values<std::uint64_t>(1, 5, 9)));
+
+// --- Sleep contract beyond SBRB --------------------------------------------
+
+// Tests-only protocol with several distinct wake steps.  Every node joins
+// in on_start; node i acts every (period + i % 5) steps and once after it
+// is first colored, sending one kGossip message per action once colored,
+// and completes at `horizon`.  Every other tick is a no-op, which next_tick
+// reports exactly.  With kHook = false the hook is hidden, so the engines
+// tick the node every step: traces and metrics must not change.
+template <bool kHook>
+class NapNode {
+ public:
+  struct Params {
+    Step period = 2;
+    Step horizon = 48;
+    std::atomic<std::int64_t>* ticks = nullptr;  ///< on_tick calls, all nodes
+  };
+
+  NapNode(const Params& p, NodeId self, NodeId n)
+      : p_(p), self_(self), n_(n), period_(p.period + self % 5) {}
+
+  template <class Ctx>
+  void on_start(Ctx& ctx) {
+    ctx.activate();
+    if (!ctx.is_root()) return;
+    ctx.mark_colored();
+    ctx.deliver();
+    owed_ = true;
+  }
+
+  template <class Ctx>
+  void on_receive(Ctx& ctx, const Message&) {
+    if (ctx.colored()) return;
+    ctx.mark_colored();
+    ctx.deliver();
+    owed_ = true;
+  }
+
+  template <class Ctx>
+  void on_tick(Ctx& ctx) {
+    if (p_.ticks != nullptr) p_.ticks->fetch_add(1, std::memory_order_relaxed);
+    const Step now = ctx.now();
+    if (now >= p_.horizon) {
+      ctx.complete();
+      return;
+    }
+    if (!owed_ && now % period_ != 0) return;
+    owed_ = false;
+    if (!ctx.colored()) return;
+    Message m;
+    m.tag = Tag::kGossip;
+    m.time = now;
+    ctx.send(ctx.rng().other_node(self_, n_), m);
+  }
+
+  Step next_tick(Step now) const
+    requires kHook
+  {
+    if (owed_ || now >= p_.horizon) return now;
+    return std::min(p_.horizon, (now + period_ - 1) / period_ * period_);
+  }
+
+ private:
+  Params p_;
+  NodeId self_;
+  NodeId n_;
+  Step period_;
+  bool owed_ = false;
+};
+
+struct NapRun {
+  std::string metrics;  ///< RunMetrics JSON
+  std::string trace;    ///< canonically sorted JSONL
+  std::int64_t callbacks_tick = 0;
+  std::int64_t ticks_counted = 0;  ///< on_tick calls the nodes counted
+  Step t_end = 0;
+};
+
+template <bool kHook>
+NapRun run_nap(RunConfig cfg, typename NapNode<kHook>::Params p, int shards) {
+  std::atomic<std::int64_t> ticks{0};
+  p.ticks = &ticks;
+  VectorTrace trace;
+  EngineProfile prof;
+  cfg.trace = &trace;
+  cfg.profile = &prof;
+  const RunMetrics m =
+      shards == 0 ? Engine<NapNode<kHook>>(cfg, p).run()
+                  : ShardedEngine<NapNode<kHook>>(cfg, p, shards).run();
+  std::vector<TraceEvent> events = trace.events();
+  obs::canonical_sort(events);
+  return {obs::to_json(m), obs::to_jsonl(events), prof.callbacks_tick,
+          ticks.load(), m.t_end};
+}
+
+RunConfig nap_cfg(RxPolicy rx, bool faults) {
+  RunConfig cfg;
+  cfg.n = 200;
+  cfg.logp = LogP{.l_over_o = 3, .o_us = 1.0};
+  cfg.seed = 31;
+  cfg.rx = rx;
+  if (faults) {
+    // Nodes 9 and 14 act every 6 steps (at 12 and 18): both are asleep
+    // when their crash comes, and node 9 sleeps past it (wake step 18).
+    cfg.failures.online.push_back({9, 13});
+    cfg.failures.restarts.push_back({14, 20, 30});
+  }
+  return cfg;
+}
+
+TEST(SleepContract, NapNodeMatchesAcrossEnginesAndHiddenHook) {
+  for (const auto& [rx, faults] :
+       {std::pair{RxPolicy::kDrainAll, false},
+        std::pair{RxPolicy::kDrainAll, true},
+        std::pair{RxPolicy::kOnePerStep, true}}) {
+    SCOPED_TRACE(std::string(rx == RxPolicy::kOnePerStep ? "rx=one" : "drain") +
+                 (faults ? " + crash/restart" : ""));
+    const RunConfig cfg = nap_cfg(rx, faults);
+    const NapRun stepped = run_nap<true>(cfg, {}, 0);
+    ASSERT_FALSE(stepped.trace.empty());
+    if (faults) {
+      EXPECT_NE(stepped.trace.find("\"fail\""), std::string::npos);
+      EXPECT_NE(stepped.trace.find("\"restart\""), std::string::npos);
+    }
+    EXPECT_EQ(stepped.callbacks_tick, stepped.ticks_counted);
+
+    // Hiding the hook changes how often on_tick runs, nothing else.
+    for (const int shards : {0, 3}) {
+      SCOPED_TRACE("hook hidden, shards=" + std::to_string(shards));
+      const NapRun awake = run_nap<false>(cfg, {}, shards);
+      EXPECT_EQ(stepped.metrics, awake.metrics);
+      EXPECT_EQ(stepped.trace, awake.trace);
+      EXPECT_EQ(awake.callbacks_tick, awake.ticks_counted);
+      EXPECT_GT(awake.callbacks_tick, 2 * stepped.callbacks_tick);
+    }
+
+    for (const int shards : {1, 2, 3, 5, 8}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      const NapRun sh = run_nap<true>(cfg, {}, shards);
+      EXPECT_EQ(stepped.metrics, sh.metrics);
+      EXPECT_EQ(stepped.trace, sh.trace);
+      EXPECT_EQ(stepped.callbacks_tick, sh.callbacks_tick);
+      EXPECT_EQ(sh.callbacks_tick, sh.ticks_counted);
+    }
+  }
+}
+
+// Quiescence fast-forward: once the coloring sends drain, every node
+// sleeps until the horizon 10^9 steps ahead and nothing is in flight, so
+// the engines jump there instead of stepping.
+TEST(SleepContract, QuiescentRunJumpsToTheNextWake) {
+  RunConfig cfg = nap_cfg(RxPolicy::kDrainAll, false);
+  cfg.n = 64;
+  cfg.max_steps = 2'000'000'000;
+  NapNode<true>::Params p;
+  p.horizon = 1'000'000'000;
+  p.period = 2 * p.horizon;  // no periodic sends: one send per coloring
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const NapRun stepped = run_nap<true>(cfg, p, 0);
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_LT(secs, 0.5);
+  EXPECT_EQ(stepped.t_end, p.horizon + 1);
+  EXPECT_EQ(stepped.callbacks_tick, stepped.ticks_counted);
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const NapRun sh = run_nap<true>(cfg, p, shards);
+    EXPECT_EQ(stepped.t_end, sh.t_end);
+    EXPECT_EQ(stepped.metrics, sh.metrics);
+    EXPECT_EQ(stepped.trace, sh.trace);
+    EXPECT_EQ(stepped.callbacks_tick, sh.callbacks_tick);
+  }
+}
+
+// Lazy kills stay exact for sleepers: every node, root included, crashes
+// while asleep with its wake step past max_steps.  The sharded engine caps
+// a sleeper's wake at its crash step, so both engines end the run right
+// after the last crash instead of running into max_steps.
+TEST(SleepContract, CrashesOfSleepersEndTheRunOnTime) {
+  RunConfig cfg = nap_cfg(RxPolicy::kDrainAll, false);
+  cfg.n = 64;
+  cfg.max_steps = 500'000'000;
+  for (NodeId i = 0; i < cfg.n; ++i)
+    cfg.failures.online.push_back({i, 1000 + i});
+  NapNode<true>::Params p;
+  p.horizon = 1'000'000'000;
+  p.period = 2 * p.horizon;
+
+  const NapRun stepped = run_nap<true>(cfg, p, 0);
+  EXPECT_EQ(stepped.t_end, 1000 + cfg.n);
+  EXPECT_NE(stepped.metrics.find("\"hit_max_steps\":false"), std::string::npos);
+  for (const int shards : {1, 2, 5}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const NapRun sh = run_nap<true>(cfg, p, shards);
+    EXPECT_EQ(stepped.metrics, sh.metrics);
+    EXPECT_EQ(stepped.trace, sh.trace);
+  }
+}
 
 }  // namespace
 }  // namespace cg

@@ -7,9 +7,10 @@
 //     production SbrbNode's canonically sorted JSONL trace BYTE-FOR-BYTE
 //     against it on the stepped engine and the sharded engine at shard
 //     counts {1,2,3,5,8};
-//   * the sharded engine's staged-send step kernel must be invisible in
-//     the self-profile too: callback counts match the stepped engine
-//     exactly on clean runs (where the kernel engages);
+//   * SbrbNode sleeps through idle ticks (next_tick) while the reference
+//     node, which has no hook, is ticked every step - the parity sweep
+//     therefore also checks the sleep contract, faults included - and the
+//     engines' self-profiles agree: both count the same on_tick calls;
 //   * sbrb_fill_sample output is sorted, distinct and never self;
 //   * sbrb_config_error / sbrb_samples reject malformed knobs with
 //     human-readable CG_CHECK messages (death tests).
@@ -229,10 +230,10 @@ TEST(SbrbFastPath, HundredSeedRefVsFastByteParity) {
   }
 }
 
-// Clean network, no faults: the sharded engine's SBRB step kernel engages
-// (pending-bitmap sweep instead of the generic per-node tick sweep), and
-// its self-profile must be indistinguishable from the stepped engine's -
-// same callback counts, same trace bytes.
+// Clean network, no faults: idle SbrbNodes sleep until the deadline on
+// both engines, and the sharded engine's self-profile must be
+// indistinguishable from the stepped engine's at every shard count - same
+// callback counts (on_tick calls actually made), same trace bytes.
 TEST(SbrbFastPath, ShardedKernelProfileMatchesStepped) {
   RunConfig cfg;
   cfg.n = 512;

@@ -419,8 +419,6 @@ TEST(PackedBits, SetTestClearAndWordBoundaries) {
   seen.clear();
   b.for_each_set(63, 128, [&](NodeId i) { seen.push_back(i); });
   EXPECT_EQ(seen, (std::vector<NodeId>{63, 65, 127}));
-  EXPECT_FALSE(b.none_in(63, 128));
-  EXPECT_TRUE(b.none_in(66, 127));
 
   seen.clear();
   b.for_each_set(100, 100, [&](NodeId i) { seen.push_back(i); });
