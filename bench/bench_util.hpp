@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -52,22 +51,6 @@ inline void print_header(const char* title) {
 /// for every value - the farm's determinism contract (docs/PERF.md §5).
 inline int threads_flag(const Flags& flags) {
   return static_cast<int>(flags.get_int("threads", 0));
-}
-
-/// Shared --engine / --shards flags: pick the execution engine carrying
-/// the runs and the sharded engine's shard count (identical results across
-/// engines; the wall-clock profile differs).  Exits 2 with a clean error
-/// on an unknown engine name.
-inline ExecConfig exec_flag(const Flags& flags) {
-  ExecConfig exec;
-  const std::string name = flags.get_string("engine", "stepped");
-  if (!engine_from_name(name, exec.engine)) {
-    std::fprintf(stderr, "unknown --engine=%s (%s)\n", name.c_str(),
-                 engine_names_list());
-    std::exit(2);
-  }
-  exec.threads = static_cast<int>(flags.get_int("shards", 1));
-  return exec;
 }
 
 /// If --csv=<path> was passed, write the table's CSV there (for plotting

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const int base_trials = static_cast<int>(flags.get_int("trials", 200));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const double eps = flags.get_double("eps", paper_eps());
-  const ExecConfig exec = bench::exec_flag(flags);
+  const ExecConfig exec = exec_from_flags(flags);
   const LogP logp = LogP::piz_daint();
 
   bench::print_header("Figure 7a: latency scaling, failure-free");

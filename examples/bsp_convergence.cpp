@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const auto n = static_cast<NodeId>(flags.get_int("n", 256));
   const std::int64_t tol = flags.get_int("tol", 1000);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
+  flags.check_all_read();
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-5;
 

@@ -156,13 +156,7 @@ int main(int argc, char** argv) {
   }
   spec.rx = rx_s == "one" ? RxPolicy::kOnePerStep : RxPolicy::kDrainAll;
 
-  const std::string engine_s = flags.get_string("engine", "stepped");
-  if (!engine_from_name(engine_s, spec.exec.engine)) {
-    std::fprintf(stderr, "unknown --engine=%s (%s)\n", engine_s.c_str(),
-                 engine_names_list());
-    return 2;
-  }
-  spec.exec.threads = static_cast<int>(flags.get_int_at_least("shards", 1, 1));
+  spec.exec = exec_from_flags(flags);
 
   const bool has_t = flags.has("t");
   const Step t_flag = flags.get_int("t", 0);

@@ -55,14 +55,7 @@ int main(int argc, char** argv) {
                  byz_mode_names_list());
     return 2;
   }
-  ExecConfig exec;
-  const std::string engine_s = flags.get_string("engine", "stepped");
-  if (!engine_from_name(engine_s, exec.engine)) {
-    std::fprintf(stderr, "unknown --engine=%s (%s)\n", engine_s.c_str(),
-                 engine_names_list());
-    return 2;
-  }
-  exec.threads = static_cast<int>(flags.get_int_at_least("shards", 1, 1));
+  const ExecConfig exec = exec_from_flags(flags);
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-4;
   std::unique_ptr<Heartbeat> heartbeat;

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   const auto n = static_cast<NodeId>(flags.get_int("n", 256));
   const int rounds = static_cast<int>(flags.get_int("rounds", 6));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
+  flags.check_all_read();
   const LogP logp = LogP::piz_daint();
 
   std::printf("membership monitor: %d nodes, manager = node 0, FCG epoch "

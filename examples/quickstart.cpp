@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   const auto n = static_cast<cg::NodeId>(flags.get_int("n", 1024));
   const int threads = static_cast<int>(flags.get_int("threads", 0));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  flags.check_all_read();
 
   std::printf("corrected-gossip quickstart: N=%d nodes, LogP L=2us O=1us\n\n",
               n);

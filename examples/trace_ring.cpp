@@ -27,6 +27,10 @@ int main(int argc, char** argv) {
   const auto n = static_cast<NodeId>(flags.get_int("n", 10));
   const Step T = flags.get_int("t", algo_s == "ocg" ? 2 : 4);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
+  const Step corr = flags.get_int("corr", 6);
+  const int f = static_cast<int>(flags.get_int("f", 1));
+  const std::string trace_out = flags.get_string("trace-out", "");
+  flags.check_all_read();
 
   Algo algo = Algo::kCcg;
   if (algo_s == "ocg") algo = Algo::kOcg;
@@ -35,13 +39,12 @@ int main(int argc, char** argv) {
 
   AlgoConfig acfg;
   acfg.T = T;
-  acfg.ocg_corr_sends = flags.get_int("corr", 6);
-  acfg.fcg_f = static_cast<int>(flags.get_int("f", 1));
+  acfg.ocg_corr_sends = corr;
+  acfg.fcg_f = f;
 
   VectorTrace trace;
   obs::TeeTraceSink tee;
   tee.add(&trace);
-  const std::string trace_out = flags.get_string("trace-out", "");
   std::unique_ptr<obs::JsonlTraceSink> jsonl;
   std::unique_ptr<obs::ChromeTraceSink> chrome;
   if (!trace_out.empty()) {

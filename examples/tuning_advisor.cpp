@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   const double runs = flags.get_double("runs", 1e6);
   const double psi = flags.get_double("psi", 0.5);
   const int f = static_cast<int>(flags.get_int("f", 1));
+  flags.check_all_read();
   const double eps = eps_for_runs(psi, runs);
 
   std::printf("corrected-gossip tuning advisor\n");

@@ -33,7 +33,7 @@
 //
 // Engine contract: nodes self-activate in on_start and dribble all
 // traffic one message per tick through two FIFO queues (urgent:
-// gossip/echo/ready; bulk: sample subscriptions), so the SendGate's
+// gossip/echo/ready; bulk: sample subscriptions), so the Wire's
 // one-emission-per-step invariant holds on every engine.  Completion is a
 // fixed deadline step - reached whether or not delivery happened - so
 // runs terminate without a global convergence detector.  A node with
@@ -198,10 +198,10 @@ class SbrbNode {
   }
 
   /// Capacity-preserving reset to the freshly-constructed state.  The
-  /// engines' trial-reuse paths (Engine::run_impl, SoaNodeStore::reset,
-  /// restart revival) detect this method and call it instead of
-  /// re-emplacing the node, which is what makes steady-state SBRB trials
-  /// allocation-free (tests/test_trial_farm.cpp).
+  /// shared node store's trial-reuse and restart-revival paths
+  /// (NodeStore::reset, NodeStore::revive) detect this method and call it
+  /// instead of re-emplacing the node, which is what makes steady-state
+  /// SBRB trials allocation-free (tests/test_trial_farm.cpp).
   void reset_for_run(const Params& p, NodeId self, NodeId n) {
     p_ = p;
     self_ = self;

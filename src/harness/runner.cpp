@@ -1,5 +1,7 @@
 #include "harness/runner.hpp"
 
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -7,6 +9,7 @@
 #include "baselines/big.hpp"
 #include "baselines/opt_tree.hpp"
 #include "common/check.hpp"
+#include "common/flags.hpp"
 #include "gossip/ccg.hpp"
 #include "gossip/fcg.hpp"
 #include "gossip/gos.hpp"
@@ -52,6 +55,18 @@ bool engine_from_name(std::string_view name, EngineKind& out) {
 }
 
 const char* engine_names_list() { return "stepped, sharded"; }
+
+ExecConfig exec_from_flags(const Flags& flags) {
+  ExecConfig exec;
+  const std::string name = flags.get_string("engine", "stepped");
+  if (!engine_from_name(name, exec.engine)) {
+    std::fprintf(stderr, "unknown --engine=%s (%s)\n", name.c_str(),
+                 engine_names_list());
+    std::exit(2);
+  }
+  exec.threads = static_cast<int>(flags.get_int_at_least("shards", 1, 1));
+  return exec;
+}
 
 namespace {
 

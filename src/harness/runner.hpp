@@ -11,6 +11,8 @@
 
 namespace cg {
 
+class Flags;
+
 enum class Algo : std::uint8_t {
   kGos,       ///< plain gossip
   kOcg,       ///< opportunistic corrected-gossip
@@ -72,6 +74,12 @@ struct ExecConfig {
   EngineKind engine = EngineKind::kStepped;
   int threads = 1;  ///< kSharded: shard count (ignored by kStepped)
 };
+
+/// The --engine / --shards flags every driver shares: the execution engine
+/// carrying the runs (default stepped) and the sharded engine's shard count
+/// (default 1).  Exits 2 on an unknown engine name (listing the accepted
+/// set) and, through Flags::fail, on --shards below 1.
+ExecConfig exec_from_flags(const Flags& flags);
 
 /// Run one trial on an explicitly chosen engine.
 RunMetrics run_once(Algo algo, const AlgoConfig& acfg, const RunConfig& rcfg,

@@ -68,7 +68,7 @@ class MetricsRegistry {
 };
 
 /// Populate a registry from a finished run: population and message counters
-/// from RunMetrics (as maintained by NodeStateStore / the engines'
+/// from RunMetrics (as maintained by the engines' NodeStore and
 /// MessageCounts), per-node latency histograms when record_node_detail was
 /// on, and engine self-profiling counters when a profile was attached.
 void fill_registry(MetricsRegistry& reg, const RunMetrics& m,

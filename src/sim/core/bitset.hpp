@@ -2,9 +2,9 @@
 //
 // PackedBits is a word-granularity bitmap over the node id space.  The
 // engines keep one bit per node for the states their sweeps care about
-// (Active, awake, colored, inbox-nonempty) so a step's tick sweep scans
-// 64 nodes per word load and skips runs of idle/done/sleeping nodes
-// entirely (docs/PERF.md §6).
+// (Active in NodeStore, awake in WakeSet, inbox-nonempty in InboxSlab) so
+// a step's tick sweep scans 64 nodes per word load and skips runs of
+// idle/done/sleeping nodes entirely (docs/PERF.md §6).
 //
 // Thread-safety contract (sharded engine): shard blocks are 64-node-
 // aligned, so two shards never touch the same word.  No atomics needed.
@@ -43,8 +43,8 @@ class PackedBits {
 
   /// Visit every bit set in BOTH this and `other` within [lo, hi), in
   /// increasing order.  Word-wise AND, so a sweep over "active AND
-  /// awake" costs the same ~range/64 loads as a plain sweep (the sharded
-  /// engine's tick sweep uses this to skip sleeping nodes).  `other` must
+  /// awake" costs the same ~range/64 loads as a plain sweep (both
+  /// engines' tick sweeps use this to skip sleeping nodes).  `other` must
   /// cover the range.
   template <class Fn>
   void for_each_set_and(const PackedBits& other, NodeId lo, NodeId hi,

@@ -1,90 +1,28 @@
-// Per-node receive queue for RxPolicy::kOnePerStep, shared by every
-// execution engine.
-//
-// A vector-backed FIFO with a consumed-prefix index: push_back appends,
-// pop_front bumps the head, and the buffer compacts only when fully
-// drained or when the dead prefix dominates.  Compared with the
-// std::deque<Message> the engines used before, pushes never allocate a
-// chunk after warm-up (the vector's capacity is recycled across steps),
-// and the storage is contiguous, which the engines rely on to canonically sort
-// each step's newly arrived tail (rx_order_before) with std::sort.
-//
-// Thread-safety contract: one InboxBuf per node, only ever touched by the
-// thread that owns the node.
+// Receive queues for RxPolicy::kOnePerStep, shared by both execution
+// engines: one InboxSlab per sweep domain (the whole run on the stepped
+// engine, a shard's block on the sharded one).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/types.hpp"
 #include "proto/message.hpp"
+#include "sim/core/bitset.hpp"
+#include "sim/core/network_model.hpp"
 
 namespace cg {
 
-class InboxBuf {
- public:
-  bool empty() const { return head_ == buf_.size(); }
-  std::size_t size() const { return buf_.size() - head_; }
-
-  void push_back(const Message& m) { buf_.push_back(m); }
-
-  const Message& front() const {
-    CG_CHECK(!empty());
-    return buf_[head_];
-  }
-
-  void pop_front() {
-    CG_CHECK(!empty());
-    ++head_;
-    if (head_ == buf_.size()) {
-      buf_.clear();
-      head_ = 0;
-    } else if (head_ >= 32 && head_ * 2 >= buf_.size()) {
-      buf_.erase(buf_.begin(),
-                 buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-  }
-
-  /// Pointer to the element `offset` positions past the front; valid until
-  /// the next push/pop.  Used with size() to sort the newly arrived tail.
-  Message* at(std::size_t offset) {
-    CG_CHECK(head_ + offset <= buf_.size());
-    return buf_.data() + head_ + offset;
-  }
-  Message* end() { return buf_.data() + buf_.size(); }
-
-  /// Reset for reuse.  Capacity is normally recycled across runs (the
-  /// trial-farm steady state performs zero allocations), but a one-off
-  /// huge run must not pin its slab for the rest of the farm: above the
-  /// high-water mark the backing storage is released.
-  void clear() {
-    if (buf_.capacity() > kHighWater) {
-      std::vector<Message>().swap(buf_);
-    } else {
-      buf_.clear();
-    }
-    head_ = 0;
-  }
-
-  std::size_t capacity() const { return buf_.capacity(); }
-
-  /// Slab-release threshold for clear(), in messages (see clear()).
-  static constexpr std::size_t kHighWater = 4096;
-
- private:
-  std::vector<Message> buf_;
-  std::size_t head_ = 0;  // consumed prefix
-};
-
-/// Flat slab-backed inbox for a SHARD of nodes (RxPolicy::kOnePerStep in
-/// the sharded engine): one entry arena plus an intrusive FIFO per local
-/// node.  Compared to a vector-of-InboxBuf it needs no per-node heap
-/// allocation - at 10^6 nodes the empty-inbox overhead is two int32s per
-/// node - and freed entries recycle through a free list, so steady-state
-/// pushes never allocate.  Arrivals must be pushed in canonical
-/// rx_order_before order per (node, step); the slab only preserves FIFO.
+/// Slab-backed inbox for a block of nodes: one entry arena plus an
+/// intrusive FIFO per local node, and a bitmap of the nonempty FIFOs.  It
+/// needs no per-node heap allocation - at 10^6 nodes the empty-inbox
+/// overhead is two int32s and a bit per node - and freed entries recycle
+/// through a free list, so steady-state pushes never allocate.  Arrivals
+/// must be pushed in canonical rx_order_before order per (node, step)
+/// (push_due does that); the slab only preserves FIFO.
 ///
 /// Thread-safety contract (sharded engine): one InboxSlab per shard, only
 /// ever touched by the owning shard's thread.
@@ -92,12 +30,14 @@ class InboxSlab {
  public:
   static constexpr std::int32_t kNil = -1;
 
-  /// (Re)size for `nodes` local nodes; drops all queued messages.  Above
-  /// the high-water mark the entry arena is released (same rationale as
-  /// InboxBuf::clear).
+  /// (Re)size for `nodes` local nodes; drops all queued messages.  Capacity
+  /// is normally recycled across runs (the trial-farm steady state performs
+  /// zero allocations), but a one-off huge run must not pin its arena for
+  /// the rest of the farm: above the high-water mark it is released.
   void reset(std::size_t nodes) {
     head_.assign(nodes, kNil);
     tail_.assign(nodes, kNil);
+    nonempty_.reset(static_cast<NodeId>(nodes));
     if (entries_.capacity() > kHighWater) {
       std::vector<Entry>().swap(entries_);
     } else {
@@ -120,10 +60,22 @@ class InboxSlab {
     }
     if (tail_[local] == kNil) {
       head_[local] = e;
+      nonempty_.set(static_cast<NodeId>(local));
     } else {
       entries_[static_cast<std::size_t>(tail_[local])].next = e;
     }
     tail_[local] = e;
+  }
+
+  /// Queue one step's due deliveries (elements with `to` and `msg`) for
+  /// the nodes [lo, lo + nodes): sorted by (destination, rx_order_before)
+  /// first, so every engine defers the same message to the next step.
+  template <class Delivery>
+  void push_due(std::vector<Delivery>& due, NodeId lo) {
+    std::sort(due.begin(), due.end(), [](const Delivery& a, const Delivery& b) {
+      return a.to != b.to ? a.to < b.to : rx_order_before(a.msg, b.msg);
+    });
+    for (const auto& d : due) push(static_cast<std::size_t>(d.to - lo), d.msg);
   }
 
   const Message& front(std::size_t local) const {
@@ -135,14 +87,31 @@ class InboxSlab {
     CG_CHECK(!empty(local));
     const std::int32_t e = head_[local];
     head_[local] = entries_[static_cast<std::size_t>(e)].next;
-    if (head_[local] == kNil) tail_[local] = kNil;
+    if (head_[local] == kNil) {
+      tail_[local] = kNil;
+      nonempty_.clear(static_cast<NodeId>(local));
+    }
     entries_[static_cast<std::size_t>(e)].next = free_;
     free_ = e;
   }
 
+  /// Pop one message from every nonempty inbox, in local-node order, and
+  /// hand it to fn(local, msg) - the kOnePerStep receive phase.  `fn` may
+  /// not push.
+  template <class Fn>
+  void pop_each(Fn&& fn) {
+    nonempty_.for_each_set(0, nonempty_.size(), [&](NodeId local) {
+      const auto l = static_cast<std::size_t>(local);
+      const Message m = front(l);
+      pop(l);
+      fn(local, m);
+    });
+  }
+
   std::size_t footprint_bytes() const {
     return entries_.capacity() * sizeof(Entry) +
-           (head_.capacity() + tail_.capacity()) * sizeof(std::int32_t);
+           (head_.capacity() + tail_.capacity()) * sizeof(std::int32_t) +
+           nonempty_.footprint_bytes();
   }
 
   /// Arena-release threshold for reset(), in entries.
@@ -157,6 +126,7 @@ class InboxSlab {
   std::vector<Entry> entries_;
   std::vector<std::int32_t> head_;  // per local node; kNil = empty
   std::vector<std::int32_t> tail_;
+  PackedBits nonempty_;             // local nodes with head_ != kNil
   std::int32_t free_ = kNil;
 };
 

@@ -1,46 +1,76 @@
-// Node lifecycle state shared by every execution engine.
+// Per-node model state shared by both execution engines.
 //
-// NodeStateStore owns the per-node arrays (alive, Idle/Active/Done state,
-// colored/delivered/completed/activated timestamps) and the transition
-// rules between them, plus the single RunMetrics finalization all engines
-// use.  Engines own scheduling and active/in-flight counting; this class
-// owns what "activated", "colored", "delivered", "completed" and "crashed"
-// MEAN, so the semantics cannot drift between engines.
+// NodeStore<Node> is the one memory plan behind every run, from unit-test
+// sizes to million-node ones:
+//   * the dense protocol slab (vector<Node>, contiguous - GOS nodes are
+//     24 bytes, so a million nodes fit in a few tens of MB) and the
+//     per-node RNG streams;
+//   * the lifecycle arrays (alive, Idle/Active/Done state, colored/
+//     delivered/completed/activated steps, held/delivered payload digests,
+//     Byzantine flags) and the transition rules between them - what
+//     "activated", "colored", "delivered", "completed" and "crashed" MEAN
+//     lives here, so the semantics cannot drift between engines;
+//   * a packed bitmap MIRRORING the Active state (kept coherent by the
+//     transitions), so a tick sweep scans 64 nodes per word instead of a
+//     byte per node;
+//   * the single RunMetrics finalization.
+//
+// Engines own scheduling and active/in-flight counting; protocols never
+// see this class (they program against BasicCtx).
 //
 // Thread-safety contract (sharded engine): every mutating call for node i
-// must come from the shard that owns i.  All fields are at least one byte
-// per node (no vector<bool> bit packing), so owner-disjoint access is free
-// of data races.
+// comes from the shard that owns i, and shard blocks are 64-node-aligned.
+// The lifecycle arrays are at least one byte per node (no vector<bool> bit
+// packing) and bitmap words are owner-disjoint, so owner-disjoint access is
+// free of data races.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
+#include "sim/core/bitset.hpp"
+#include "sim/core/run_config.hpp"
 #include "sim/fault/byzantine.hpp"
 #include "sim/metrics.hpp"
 
 namespace cg {
 
-/// Lifecycle of a node during a run.  Nodes begin Idle (except the root),
-/// become Active on their first receive (or explicit activate()), and Done
-/// when they complete or crash.
-enum class NodeRunState : std::uint8_t { kIdle, kActive, kDone };
-
-class NodeStateStore {
+template <class Node>
+class NodeStore {
  public:
+  using Params = typename Node::Params;
+
   /// Outcome of a complete()/kill() call, so engines can maintain their own
-  /// active-node accounting (a plain counter, per-worker deltas, ...).
+  /// active-node accounting (a plain counter, per-shard deltas, ...).
   struct Transition {
     bool changed = false;     ///< the call performed a state change
     bool was_active = false;  ///< the node was Active before the change
   };
 
-  void reset(NodeId n) {
+  /// Fresh run: every node constructed (or reset in place), seeded, alive
+  /// and Idle; then the config's pre-failed set is dead and its Byzantine
+  /// set flagged.  The root must not be pre-failed.
+  void reset(const RunConfig& cfg, const Params& params) {
+    const NodeId n = cfg.n;
     const auto sz = static_cast<std::size_t>(n);
     n_ = n;
+    if (kNodeReset && nodes_.size() == sz) {
+      for (NodeId i = 0; i < n; ++i) reset_node(i, params);
+    } else {
+      nodes_.clear();
+      nodes_.reserve(sz);
+      for (NodeId i = 0; i < n; ++i) nodes_.emplace_back(params, i, n);
+    }
+    rng_.clear();
+    rng_.reserve(sz);
+    for (NodeId i = 0; i < n; ++i)
+      rng_.emplace_back(derive_seed(cfg.seed, static_cast<std::uint64_t>(i)));
+    active_.reset(n);
     alive_.assign(sz, 1);
     state_.assign(sz, NodeRunState::kIdle);
     colored_at_.assign(sz, kNever);
@@ -50,22 +80,29 @@ class NodeStateStore {
     held_payload_.assign(sz, 0);
     delivered_payload_.assign(sz, 0);
     byzantine_.assign(sz, 0);
+    for (const NodeId i : cfg.failures.pre_failed) {
+      CG_CHECK(i >= 0 && i < n_);
+      alive_[idx(i)] = 0;
+      state_[idx(i)] = NodeRunState::kDone;
+    }
+    // Survives revive(): a compromised host stays compromised.
+    for (const auto& b : cfg.byzantine.nodes) byzantine_[idx(b.node)] = 1;
+    CG_CHECK_MSG(alive(cfg.root), "root must be active at start");
   }
 
-  NodeId n() const { return n_; }
+  Node& node(NodeId i) { return nodes_[idx(i)]; }
+  const Node& node(NodeId i) const { return nodes_[idx(i)]; }
+  Xoshiro256& rng(NodeId i) { return rng_[idx(i)]; }
+
   bool alive(NodeId i) const { return alive_[idx(i)] != 0; }
-  NodeRunState state(NodeId i) const { return state_[idx(i)]; }
   bool done(NodeId i) const { return state_[idx(i)] == NodeRunState::kDone; }
   bool colored(NodeId i) const { return colored_at_[idx(i)] != kNever; }
   Step activated_at(NodeId i) const { return activated_at_[idx(i)]; }
-  Step completed_at(NodeId i) const { return completed_at_[idx(i)]; }
   /// Payload digest node i currently holds (0 until colored).
   std::uint32_t held_payload(NodeId i) const { return held_payload_[idx(i)]; }
-  bool byzantine(NodeId i) const { return byzantine_[idx(i)] != 0; }
 
-  /// Flag node i as adversarial (engine setup, from RunConfig::byzantine).
-  /// Survives revive(): a compromised host stays compromised.
-  void mark_byzantine(NodeId i) { byzantine_[idx(i)] = 1; }
+  /// Bitmap of Active nodes (engine sweep acceleration; read-only).
+  const PackedBits& active_bits() const { return active_; }
 
   /// Override the digest node i holds (SBRB Contagion adopts the winning
   /// payload just before delivering; also sets it for an uncolored node).
@@ -73,18 +110,12 @@ class NodeStateStore {
     held_payload_[idx(i)] = d;
   }
 
-  /// Mark a node dead before the run starts (failure set F at t=0).
-  void pre_fail(NodeId i) {
-    CG_CHECK(i >= 0 && i < n_);
-    alive_[idx(i)] = 0;
-    state_[idx(i)] = NodeRunState::kDone;
-  }
-
   /// Idle -> Active; returns true if the transition happened.
   bool activate(NodeId i, Step now) {
     if (state_[idx(i)] != NodeRunState::kIdle) return false;
     state_[idx(i)] = NodeRunState::kActive;
     activated_at_[idx(i)] = now;
+    active_.set(i);
     return true;
   }
 
@@ -94,6 +125,7 @@ class NodeStateStore {
     if (st == NodeRunState::kDone) return {};
     state_[idx(i)] = NodeRunState::kDone;
     completed_at_[idx(i)] = now;
+    if (st == NodeRunState::kActive) active_.clear(i);
     return {true, st == NodeRunState::kActive};
   }
 
@@ -104,14 +136,16 @@ class NodeStateStore {
     const NodeRunState st = state_[idx(i)];
     alive_[idx(i)] = 0;
     state_[idx(i)] = NodeRunState::kDone;
+    if (st == NodeRunState::kActive) active_.clear(i);
     return {true, st == NodeRunState::kActive};
   }
 
-  /// Crash-restart rejoin: a DEAD node comes back alive, Idle and with
-  /// every timestamp cleared - it re-enters the run as if it had never
-  /// participated (its protocol object is reconstructed by the engine).
-  /// Returns true if the node was dead and is now revived.
-  bool revive(NodeId i) {
+  /// Crash-restart rejoin: a DEAD node comes back alive, Idle, with every
+  /// timestamp cleared and a FRESH protocol instance - uncolored and
+  /// passive until its first receive (on_start is not re-run; the
+  /// broadcast started without it).  Returns true if the node was dead and
+  /// is now revived.
+  bool revive(NodeId i, const Params& params) {
     if (alive_[idx(i)] != 0) return false;
     alive_[idx(i)] = 1;
     state_[idx(i)] = NodeRunState::kIdle;
@@ -121,6 +155,7 @@ class NodeStateStore {
     activated_at_[idx(i)] = kNever;
     held_payload_[idx(i)] = 0;
     delivered_payload_[idx(i)] = 0;
+    reset_node(i, params);
     return true;
   }
 
@@ -148,9 +183,9 @@ class NodeStateStore {
     return true;
   }
 
-  /// The single RunMetrics finalization all engines share.  Message counters
-  /// (msgs_*) must already be merged into `m`; this fills the population,
-  /// timing and flag fields from the per-node arrays.
+  /// The single RunMetrics finalization both engines share.  Message
+  /// counters (msgs_*) must already be merged into `m`; this fills the
+  /// population, timing and flag fields from the per-node arrays.
   void finalize(RunMetrics& m, NodeId root, Step t_end,
                 bool record_node_detail) const {
     m.n_total = n_;
@@ -227,9 +262,12 @@ class NodeStateStore {
     }
   }
 
-  /// Heap bytes of the lifecycle arrays (memory-plan accounting).
+  /// Heap bytes of every per-node array (memory-plan accounting for
+  /// EngineProfile::bytes_per_node).
   std::size_t footprint_bytes() const {
-    return (alive_.capacity() + byzantine_.capacity()) * sizeof(std::uint8_t) +
+    return nodes_.capacity() * sizeof(Node) +
+           rng_.capacity() * sizeof(Xoshiro256) + active_.footprint_bytes() +
+           (alive_.capacity() + byzantine_.capacity()) * sizeof(std::uint8_t) +
            state_.capacity() * sizeof(NodeRunState) +
            (held_payload_.capacity() + delivered_payload_.capacity()) *
                sizeof(std::uint32_t) +
@@ -239,9 +277,34 @@ class NodeStateStore {
   }
 
  private:
+  /// Lifecycle of a node during a run.  Nodes begin Idle (except the root),
+  /// become Active on their first receive (or explicit activate()), and
+  /// Done when they complete or crash.
+  enum class NodeRunState : std::uint8_t { kIdle, kActive, kDone };
+
+  /// Does the Node support in-place reset (capacity-preserving return to
+  /// the freshly-constructed state)?  When it does, trial reruns and
+  /// restarts reuse the node objects instead of re-emplacing them - the
+  /// zero-alloc steady-state path for protocols with internal buffers
+  /// (e.g. SBRB's staged-send slabs).
+  static constexpr bool kNodeReset =
+      requires(Node& nd, const Params& p) {
+        nd.reset_for_run(p, NodeId{0}, NodeId{2});
+      };
+
+  void reset_node(NodeId i, const Params& params) {
+    if constexpr (kNodeReset)
+      nodes_[idx(i)].reset_for_run(params, i, n_);
+    else
+      nodes_[idx(i)] = Node(params, i, n_);
+  }
+
   static std::size_t idx(NodeId i) { return static_cast<std::size_t>(i); }
 
   NodeId n_ = 0;
+  std::vector<Node> nodes_;
+  std::vector<Xoshiro256> rng_;
+  PackedBits active_;  // mirrors state == kActive
   // std::uint8_t, not vector<bool>: the sharded engine writes these from
   // different threads for different nodes; byte-sized elements keep that
   // race-free under the C++ memory model.
@@ -252,7 +315,7 @@ class NodeStateStore {
   std::vector<Step> completed_at_;
   std::vector<Step> activated_at_;
   // Byzantine tier: digest each node holds / delivered (0 = none yet) and
-  // the adversary flags.  Same owner-disjoint thread-safety rules apply.
+  // the adversary flags.
   std::vector<std::uint32_t> held_payload_;
   std::vector<std::uint32_t> delivered_payload_;
   std::vector<std::uint8_t> byzantine_;

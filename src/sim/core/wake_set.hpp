@@ -40,7 +40,6 @@ class WakeSet {
 
   const PackedBits& awake() const { return awake_; }
   void wake(NodeId i) { awake_.set(i); }
-  void drop(NodeId i) { awake_.clear(i); }
 
   /// Node i sleeps until step `until`; folds it into its domain's earliest.
   void sleep(NodeId i, Step until, Step& earliest) {

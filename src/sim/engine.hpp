@@ -8,16 +8,19 @@
 //
 // A message emitted during on_tick at step s is delivered at step
 // s + L/O + 1.  Protocols may emit AT MOST ONE message per node per step
-// (enforced by the shared SendGate), which models the per-message overhead
-// O of the LogP model.
+// (enforced by the shared Wire), which models the per-message overhead O
+// of the LogP model.
 //
-// The model itself lives in src/sim/core/: NetworkModel (delays, jitter,
-// per-link extras, loss), NodeStateStore (lifecycle + RunMetrics
-// finalization), SendGate (emission rate limit) and BasicCtx (the protocol
-// -facing API).  This engine and the window-sharded ShardedEngine
-// (sim/sharded_engine.hpp) are two schedulers over that one model and
-// produce identical RunMetrics (tests/test_engine_parity.cpp); this one is
-// the byte-parity oracle.
+// The model itself lives in src/sim/core/: NodeStore (protocol slab, RNG
+// streams, lifecycle, Active bitmap, RunMetrics finalization), Wire (the
+// sender side of a send: R1, payload stamp, Byzantine transform, counts,
+// send-side trace, NetworkModel route), InboxSlab (the kOnePerStep queues),
+// WakeSet (sleep state) and BasicCtx (the protocol-facing API).  This
+// engine and the window-sharded ShardedEngine (sim/sharded_engine.hpp) are
+// two schedulers over that one model and produce identical RunMetrics
+// (tests/test_engine_parity.cpp); this one is the byte-parity oracle.  It
+// keeps only the step loop: crashes and revivals, the due calendar slot,
+// the tick sweep and the quiescence jump.
 //
 // Protocol (Node) requirements - a Node type must provide:
 //   struct Params {...};
@@ -51,11 +54,11 @@
 #include "sim/core/basic_ctx.hpp"
 #include "sim/core/inbox.hpp"
 #include "sim/core/network_model.hpp"
-#include "sim/core/node_state.hpp"
+#include "sim/core/node_store.hpp"
 #include "sim/core/profile.hpp"
 #include "sim/core/run_config.hpp"
-#include "sim/core/send_gate.hpp"
 #include "sim/core/wake_set.hpp"
+#include "sim/core/wire.hpp"
 #include "sim/failure.hpp"
 #include "sim/logp.hpp"
 #include "sim/metrics.hpp"
@@ -94,12 +97,12 @@ class Engine {
   }
 
   /// Access a node's protocol state after (or during) the run - tests only.
-  const Node& node(NodeId i) const { return nodes_[static_cast<std::size_t>(i)]; }
+  const Node& node(NodeId i) const { return store_.node(i); }
 
   // --- BasicCtx hooks (protocol-facing; not part of the public API) ------
   Step ctx_now() const { return step_; }
   const RunConfig& ctx_cfg() const { return cfg_; }
-  Xoshiro256& ctx_rng(NodeId i) { return rng_[static_cast<std::size_t>(i)]; }
+  Xoshiro256& ctx_rng(NodeId i) { return store_.rng(i); }
   void ctx_send(NodeId from, NodeId to, const Message& m) {
     do_send(from, to, m);
   }
@@ -131,16 +134,6 @@ class Engine {
   void ctx_note_dropped(NodeId) { counts_.add_dropped(); }
 
  private:
-  /// Does the Node support in-place reset (capacity-preserving return to
-  /// the freshly-constructed state)?  When it does, trial reruns and
-  /// restarts reuse the node objects instead of re-emplacing them - the
-  /// zero-alloc steady-state path for protocols with internal buffers
-  /// (e.g. SBRB's staged-send slabs).
-  static constexpr bool kNodeReset =
-      requires(Node& nd, const Params& p) {
-        nd.reset_for_run(p, NodeId{0}, NodeId{2});
-      };
-
   struct Delivery {
     NodeId to;
     Message msg;
@@ -161,18 +154,12 @@ class Engine {
 
   // Run state (valid during run()).
   Step step_ = 0;
-  std::vector<Node> nodes_;
-  std::vector<Xoshiro256> rng_;
-  NetworkModel net_;
-  NodeStateStore store_;
-  SendGate gate_;
-  ByzantineModel byz_;
+  NodeStore<Node> store_;
+  Wire wire_;
   std::uint32_t rx_payload_ = 0;  ///< digest of the message being dispatched
   MessageCounts counts_;
   std::vector<std::vector<Delivery>> calendar_;  // ring buffer, D+1 slots
-  std::vector<InboxBuf> inbox_;                  // kOnePerStep only
-  std::vector<Step> inbox_stamp_;                // kOnePerStep scratch
-  std::vector<std::size_t> inbox_tail_;          // kOnePerStep scratch
+  InboxSlab inbox_;                              // kOnePerStep only
   std::vector<Delivery> due_;                    // per-step scratch
   std::vector<OnlineFailure> online_scratch_;    // sorted crash schedule
   std::vector<Restart> revive_scratch_;          // sorted revival schedule
@@ -189,41 +176,11 @@ class Engine {
 
 template <class Node>
 void Engine<Node>::do_send(NodeId from, NodeId to, const Message& m) {
-  CG_CHECK(to >= 0 && to < cfg_.n);
-  CG_CHECK_MSG(to != from, "node sent a message to itself");
-  gate_.on_send(from, step_);
-  Message adv = m;
-  if (adv.payload == 0) adv.payload = store_.held_payload(from);
-  if (byz_.any()) {
-    const ByzAction act = byz_.transform(from, to, adv, step_);
-    if (act == ByzAction::kSuppressed) {
-      counts_.add_suppressed();
-      return;  // swallowed at the sender: no send/lost trace, no route
-    }
-    if (act == ByzAction::kEquivocated) counts_.add_equivocated();
-    if (act == ByzAction::kForged) counts_.add_forged();
-    counts_.add(adv);
-    if (cfg_.trace != nullptr) {
-      trace({step_, TraceEvent::Kind::kSend, from, to, adv.tag});
-      if (act == ByzAction::kEquivocated)
-        trace({step_, TraceEvent::Kind::kEquivocated, from, to, adv.tag});
-      else if (act == ByzAction::kForged)
-        trace({step_, TraceEvent::Kind::kForged, from, to, adv.tag});
-    }
-  } else {
-    counts_.add(adv);
-    if (cfg_.trace != nullptr)
-      trace({step_, TraceEvent::Kind::kSend, from, to, adv.tag});
-  }
-
-  const Step at = net_.route(from, to, step_);
-  if (at == NetworkModel::kLost) {  // lost on the wire (counted as work)
-    trace({step_, TraceEvent::Kind::kLost, from, to, adv.tag});
-    return;
-  }
-
-  Message out = adv;
-  out.src = from;
+  Message out = m;
+  const Step at =
+      wire_.send(from, to, out, store_.held_payload(from), step_, counts_,
+                 cfg_.trace != nullptr, [this](TraceEvent ev) { trace(ev); });
+  if (at == Wire::kDropped) return;
   auto& slot = calendar_[static_cast<std::size_t>(
       at % static_cast<Step>(calendar_.size()))];
   slot.push_back({to, out});
@@ -246,14 +203,7 @@ void Engine<Node>::apply_failure(NodeId i) {
 
 template <class Node>
 void Engine<Node>::apply_restart(NodeId i) {
-  if (!store_.revive(i)) return;
-  // The rejoined node runs a FRESH protocol instance: uncolored, Idle,
-  // passive until its first receive (we do not re-run on_start; the
-  // broadcast started without it).
-  if constexpr (kNodeReset)
-    nodes_[static_cast<std::size_t>(i)].reset_for_run(params_, i, cfg_.n);
-  else
-    nodes_[static_cast<std::size_t>(i)] = Node(params_, i, cfg_.n);
+  if (!store_.revive(i, params_)) return;
   trace({step_, TraceEvent::Kind::kRestart, i, kNoNode, Tag::kGossip});
 }
 
@@ -270,68 +220,32 @@ void Engine<Node>::dispatch(NodeId to, const Message& m) {
   if (cfg_.profile != nullptr) ++cfg_.profile->callbacks_receive;
   Ctx ctx(*this, to);
   rx_payload_ = m.payload;  // ambient digest for ctx_mark_colored
-  nodes_[static_cast<std::size_t>(to)].on_receive(ctx, m);
+  store_.node(to).on_receive(ctx, m);
   rx_payload_ = 0;
 }
 
 template <class Node>
 RunMetrics Engine<Node>::run_impl() {
-  const auto n = static_cast<std::size_t>(cfg_.n);
-  if constexpr (kNodeReset) {
-    if (nodes_.size() == n) {
-      for (NodeId i = 0; i < cfg_.n; ++i)
-        nodes_[static_cast<std::size_t>(i)].reset_for_run(params_, i, cfg_.n);
-    } else {
-      nodes_.clear();
-      nodes_.reserve(n);
-      for (NodeId i = 0; i < cfg_.n; ++i)
-        nodes_.emplace_back(params_, i, cfg_.n);
-    }
-  } else {
-    nodes_.clear();
-    nodes_.reserve(n);
-    for (NodeId i = 0; i < cfg_.n; ++i)
-      nodes_.emplace_back(params_, i, cfg_.n);
-  }
-
-  rng_.clear();
-  rng_.reserve(n);
-  for (NodeId i = 0; i < cfg_.n; ++i)
-    rng_.emplace_back(derive_seed(cfg_.seed, static_cast<std::uint64_t>(i)));
-  net_.reset(cfg_);
-  store_.reset(cfg_.n);
-  gate_.reset(cfg_.n);
-  byz_.reset(cfg_.n, cfg_.root, cfg_.seed, cfg_.byzantine);
-  for (const auto& b : cfg_.byzantine.nodes) store_.mark_byzantine(b.node);
+  store_.reset(cfg_, params_);
+  wire_.reset(cfg_);
   rx_payload_ = 0;
   counts_ = MessageCounts{};
   // Reset the ring to D+1 empty slots, keeping each slot's capacity when
   // the delay structure is unchanged (the trial-farm steady state).
-  const auto cal_slots = static_cast<std::size_t>(net_.max_delay()) + 1;
+  const auto cal_slots = static_cast<std::size_t>(wire_.max_delay()) + 1;
   if (calendar_.size() == cal_slots) {
     for (auto& slot : calendar_) slot.clear();
   } else {
     calendar_.assign(cal_slots, {});
   }
-  if (cfg_.rx == RxPolicy::kOnePerStep) {
-    if (inbox_.size() == n) {
-      for (auto& box : inbox_) box.clear();
-    } else {
-      inbox_.assign(n, {});
-    }
-    inbox_stamp_.assign(n, -1);
-    inbox_tail_.assign(n, 0);
-  }
+  if (cfg_.rx == RxPolicy::kOnePerStep)
+    inbox_.reset(static_cast<std::size_t>(cfg_.n));
   in_flight_ = 0;
   active_count_ = 0;
   wake_.reset(cfg_.n, kSleeps<Node>);
   next_wake_ = kNever;
   metrics_ = RunMetrics{};
   step_ = 0;
-
-  // Pre-failed nodes.
-  for (const NodeId i : cfg_.failures.pre_failed) store_.pre_fail(i);
-  CG_CHECK_MSG(store_.alive(cfg_.root), "root must be active at start");
 
   // Sort crash events (online failures + restart downs, in that order for
   // same-step determinism across engines) and revivals by time.  Member
@@ -369,7 +283,7 @@ RunMetrics Engine<Node>::run_impl() {
     if (!store_.alive(i)) continue;
     if (prof != nullptr) ++prof->callbacks_start;
     Ctx ctx(*this, i);
-    nodes_[static_cast<std::size_t>(i)].on_start(ctx);
+    store_.node(i).on_start(ctx);
   }
 
   const Step max_steps = cfg_.effective_max_steps();
@@ -410,39 +324,18 @@ RunMetrics Engine<Node>::run_impl() {
       // preceding handlers.
       for (std::size_t k = 0; k < due.size(); ++k) {
         if (k + 6 < due.size()) {
-          const auto* nxt = reinterpret_cast<const char*>(
-              &nodes_[static_cast<std::size_t>(due[k + 6].to)]);
+          const auto* nxt =
+              reinterpret_cast<const char*>(&store_.node(due[k + 6].to));
           __builtin_prefetch(nxt);
           __builtin_prefetch(nxt + 64);
         }
         dispatch(due[k].to, due[k].msg);
       }
     } else {
-      // Append this step's arrivals, then canonically order each inbox's
-      // new tail so all engines defer the same message to the next step.
-      for (const auto& d : due) {
-        const auto idx = static_cast<std::size_t>(d.to);
-        if (inbox_stamp_[idx] != step_) {
-          inbox_stamp_[idx] = step_;
-          inbox_tail_[idx] = inbox_[idx].size();
-        }
-        inbox_[idx].push_back(d.msg);
-      }
-      for (const auto& d : due) {
-        const auto idx = static_cast<std::size_t>(d.to);
-        if (inbox_stamp_[idx] != step_) continue;  // already sorted
-        inbox_stamp_[idx] = -1;
-        auto& box = inbox_[idx];
-        std::sort(box.at(inbox_tail_[idx]), box.end(), rx_order_before);
-      }
-      for (NodeId i = 0; i < cfg_.n; ++i) {
-        auto& box = inbox_[static_cast<std::size_t>(i)];
-        if (!box.empty()) {
-          const Message m = box.front();
-          box.pop_front();
-          dispatch(i, m);
-        }
-      }
+      // Queue this step's arrivals in canonical order, then consume at
+      // most one message per node, in node-id order.
+      inbox_.push_due(due, 0);
+      inbox_.pop_each([&](NodeId i, const Message& m) { dispatch(i, m); });
     }
 
     if (prof != nullptr) {
@@ -452,23 +345,19 @@ RunMetrics Engine<Node>::run_impl() {
 
     // 3. ticks over the Active, awake nodes - a node activated at step c
     // (first receive, or the root at step 0) may only emit from step c+1
-    // (its receive occupied step c), so its first tick is skipped.  Awake
-    // bits of nodes that left the Active state are dropped on the way.
+    // (its receive occupied step c), so its first tick is skipped.
     if (step_ >= next_wake_) next_wake_ = wake_.wake_due(0, cfg_.n, step_);
     NodeId awake = 0;  // nodes left awake (a few may have just completed)
-    wake_.awake().for_each_set(0, cfg_.n, [&](NodeId i) {
-      if (store_.state(i) != NodeRunState::kActive) {
-        wake_.drop(i);
-        return;
-      }
+    store_.active_bits().for_each_set_and(wake_.awake(), 0, cfg_.n,
+                                          [&](NodeId i) {
       ++awake;
       if (store_.activated_at(i) == step_) return;
       if (prof != nullptr) ++prof->callbacks_tick;
       Ctx ctx(*this, i);
-      auto& nd = nodes_[static_cast<std::size_t>(i)];
+      auto& nd = store_.node(i);
       nd.on_tick(ctx);
       const Step wake = next_tick_of(nd, step_ + 1);
-      if (wake > step_ + 1 && store_.state(i) == NodeRunState::kActive) {
+      if (wake > step_ + 1 && store_.active_bits().test(i)) {
         wake_.sleep(i, wake, next_wake_);
         --awake;
       }
@@ -494,14 +383,10 @@ RunMetrics Engine<Node>::run_impl() {
   if (prof != nullptr) {
     prof->steps = step_;
     prof->wall_s = ProfileClock::seconds_since(prof_run0);
-    std::size_t fp = nodes_.capacity() * sizeof(Node) +
-                     rng_.capacity() * sizeof(Xoshiro256) +
-                     store_.footprint_bytes() + wake_.footprint_bytes() +
+    std::size_t fp = store_.footprint_bytes() + wake_.footprint_bytes() +
+                     inbox_.footprint_bytes() +
                      due_.capacity() * sizeof(Delivery);
     for (const auto& slot : calendar_) fp += slot.capacity() * sizeof(Delivery);
-    for (const auto& ib : inbox_) fp += ib.capacity() * sizeof(Message);
-    fp += inbox_stamp_.capacity() * sizeof(Step) +
-          inbox_tail_.capacity() * sizeof(std::size_t);
     prof->bytes_per_node =
         static_cast<std::int64_t>(fp / static_cast<std::size_t>(cfg_.n));
     prof->peak_rss_bytes = current_peak_rss_bytes();

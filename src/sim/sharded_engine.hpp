@@ -1,9 +1,11 @@
-// Window-sharded execution over the structure-of-arrays node store - the
-// engine for million-node runs.
+// Window-sharded execution over the shared model (src/sim/core/) - the
+// engine for million-node runs.  It runs on the same NodeStore, Wire,
+// InboxSlab and WakeSet as the stepped oracle (sim/engine.hpp) and keeps
+// only its scheduling: the windows, the boundary outboxes and lazy kills.
 //
 // Nodes are split into contiguous 64-aligned blocks, one per shard, and
-// each shard owns a PRIVATE delivery calendar (the PR 4 ring-of-slots
-// kernel) plus the SoA state for its block.  The LogP model gives a
+// each shard owns a PRIVATE delivery calendar (a ring of slots) plus the
+// NodeStore entries of its block.  The LogP model gives a
 // conservative lookahead: every message emitted at step s is delivered no
 // earlier than s + L/O + 1 (jitter, stragglers and link extras only ADD
 // delay), so a window of W = L/O + 1 steps can be simulated by every
@@ -28,8 +30,8 @@
 // window k+2 - after every reader has passed the barrier that ends window
 // k+1.  Phase B writes only calendars its shard owns, so B(k) and A(k+1)
 // overlap across shards freely.  Each due calendar slot is sorted by
-// (send step, sender) before dispatch - a unique key, since the SendGate
-// admits one emission per node per step - which realizes the canonical
+// (send step, sender) before dispatch - a unique key, since the Wire admits
+// one emission per node per step - which realizes the canonical
 // (step, sender, dest) boundary-exchange order without caring how or when
 // entries were inserted, so traces and metrics are byte-identical across
 // shard counts (tests/test_sharded_engine.cpp sweeps {1, 2, 8}).
@@ -72,14 +74,13 @@
 #include "runtime/sync_barrier.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/core/basic_ctx.hpp"
-#include "sim/core/bitset.hpp"
 #include "sim/core/inbox.hpp"
 #include "sim/core/network_model.hpp"
+#include "sim/core/node_store.hpp"
 #include "sim/core/profile.hpp"
 #include "sim/core/run_config.hpp"
-#include "sim/core/send_gate.hpp"
-#include "sim/core/soa_store.hpp"
 #include "sim/core/wake_set.hpp"
+#include "sim/core/wire.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 
@@ -90,22 +91,21 @@ class ShardedEngine {
  public:
   using Params = typename Node::Params;
 
-  /// BasicCtx host: the engine plus the shard the callback runs on (the
-  /// compatibility adapter over the SoA store - protocols keep their
-  /// object API while state lives in flat arrays).
+  /// BasicCtx host: the engine plus the shard the callback runs on.
   struct ShardView {
     ShardedEngine* eng;
     int shard;
 
     Step ctx_now() const { return eng->shards_[st()].now; }
     const RunConfig& ctx_cfg() const { return eng->cfg_; }
-    Xoshiro256& ctx_rng(NodeId i) { return eng->soa_.rng(i); }
+    Xoshiro256& ctx_rng(NodeId i) { return eng->store_.rng(i); }
     void ctx_send(NodeId from, NodeId to, const Message& m) {
       eng->do_send(shard, from, to, m);
     }
     void ctx_activate(NodeId i) { eng->do_activate(shard, i); }
     void ctx_mark_colored(NodeId i) {
-      if (eng->soa_.mark_colored(i, ctx_now(), eng->shards_[st()].rx_payload)) {
+      if (eng->store_.mark_colored(i, ctx_now(),
+                                   eng->shards_[st()].rx_payload)) {
         eng->trace(shard, {ctx_now(), TraceEvent::Kind::kColored, i, kNoNode,
                            Tag::kGossip});
         if (eng->cfg_.telemetry != nullptr)
@@ -113,15 +113,15 @@ class ShardedEngine {
       }
     }
     void ctx_adopt_payload(NodeId i, std::uint32_t d) {
-      eng->soa_.set_held_payload(i, d);
+      eng->store_.set_held_payload(i, d);
     }
     void ctx_deliver(NodeId i) {
-      if (eng->soa_.mark_delivered(i, ctx_now()))
+      if (eng->store_.mark_delivered(i, ctx_now()))
         eng->trace(shard, {ctx_now(), TraceEvent::Kind::kDelivered, i, kNoNode,
                            Tag::kGossip});
     }
     void ctx_complete(NodeId i) { eng->do_complete(shard, i); }
-    bool ctx_colored(NodeId i) const { return eng->soa_.colored(i); }
+    bool ctx_colored(NodeId i) const { return eng->store_.colored(i); }
     void ctx_note_dropped(NodeId) {
       eng->shards_[st()].counts.add_dropped();
     }
@@ -162,7 +162,6 @@ class ShardedEngine {
     std::vector<std::vector<Delivery>> calendar;  // private ring, D+1 slots
     std::array<std::vector<Boundary>, 2> outbox;  // indexed by window parity
     InboxSlab inbox;        // kOnePerStep; local-node indexed
-    PackedBits inbox_bits;  // local nodes with a nonempty inbox
     std::vector<Restart> revives;  // owned revivals, sorted by up_at
     std::size_t next_revive = 0;
     Step next_wake = kNever;  ///< earliest wake step of the shard's sleepers
@@ -193,45 +192,15 @@ class ShardedEngine {
   }
 
   void do_send(int shard, NodeId from, NodeId to, const Message& m) {
-    CG_CHECK(to >= 0 && to < cfg_.n);
-    CG_CHECK_MSG(to != from, "node sent a message to itself");
     auto& st = shards_[static_cast<std::size_t>(shard)];
-    gate_.on_send(from, st.now);
-    // Byzantine transform runs BEFORE owner_of(to): a spammer's redirected
-    // destination decides the same-shard-vs-boundary routing.
-    Message adv = m;
-    if (adv.payload == 0) adv.payload = soa_.held_payload(from);
-    if (byz_.any()) {
-      const ByzAction act = byz_.transform(from, to, adv, st.now);
-      if (act == ByzAction::kSuppressed) {
-        st.counts.add_suppressed();
-        return;  // swallowed at the sender: no send/lost trace, no route
-      }
-      if (act == ByzAction::kEquivocated) st.counts.add_equivocated();
-      if (act == ByzAction::kForged) st.counts.add_forged();
-      st.counts.add(adv);
-      if (cfg_.trace != nullptr) {
-        trace(shard, {st.now, TraceEvent::Kind::kSend, from, to, adv.tag});
-        if (act == ByzAction::kEquivocated)
-          trace(shard,
-                {st.now, TraceEvent::Kind::kEquivocated, from, to, adv.tag});
-        else if (act == ByzAction::kForged)
-          trace(shard, {st.now, TraceEvent::Kind::kForged, from, to, adv.tag});
-      }
-    } else {
-      st.counts.add(adv);
-      if (cfg_.trace != nullptr)
-        trace(shard, {st.now, TraceEvent::Kind::kSend, from, to, adv.tag});
-    }
-
-    const Step at = net_.route(from, to, st.now);
-    if (at == NetworkModel::kLost) {  // lost on the wire (counted as work)
-      trace(shard, {st.now, TraceEvent::Kind::kLost, from, to, adv.tag});
-      return;
-    }
-
-    Message out = adv;
-    out.src = from;
+    // The Byzantine transform inside Wire::send runs BEFORE owner_of(to): a
+    // spammer's redirected destination decides same-shard vs boundary.
+    Message out = m;
+    const Step at =
+        wire_.send(from, to, out, store_.held_payload(from), st.now, st.counts,
+                   cfg_.trace != nullptr,
+                   [&st](TraceEvent ev) { st.trace.push_back(ev); });
+    if (at == Wire::kDropped) return;
     ++st.sent;
     if (cfg_.profile != nullptr) ++st.prof_scheduled;
     const int dest = owner_of(to);
@@ -250,14 +219,14 @@ class ShardedEngine {
 
   void do_activate(int shard, NodeId i) {
     auto& st = shards_[static_cast<std::size_t>(shard)];
-    if (!soa_.activate(i, st.now)) return;
+    if (!store_.activate(i, st.now)) return;
     ++st.active_delta;
     wake_.wake(i);
   }
 
   void do_complete(int shard, NodeId i) {
     auto& st = shards_[static_cast<std::size_t>(shard)];
-    const auto t = soa_.complete(i, st.now);
+    const auto t = store_.complete(i, st.now);
     if (!t.changed) return;
     if (t.was_active) {
       --st.active_delta;
@@ -276,7 +245,7 @@ class ShardedEngine {
     if (ca > s) return;
     crash_at_[idx] = kNever;
     const Step kill_step = std::max<Step>(ca, 0);
-    const auto t = soa_.kill(i);
+    const auto t = store_.kill(i);
     if (!t.changed) return;
     auto& st = shards_[static_cast<std::size_t>(shard)];
     if (t.was_active) {
@@ -288,7 +257,7 @@ class ShardedEngine {
 
   void dispatch(int shard, NodeId to, const Message& m, Step s) {
     if (any_crash_) maybe_lazy_kill(shard, to, s);
-    if (!soa_.alive(to) || soa_.done(to)) return;  // dropped
+    if (!store_.alive(to) || store_.done(to)) return;  // dropped
     do_activate(shard, to);
     wake_.wake(to);
     if (cfg_.trace != nullptr)
@@ -303,7 +272,7 @@ class ShardedEngine {
     Ctx ctx(view, to);
     auto& st = shards_[static_cast<std::size_t>(shard)];
     st.rx_payload = m.payload;  // ambient digest for ctx_mark_colored
-    soa_.node(to).on_receive(ctx, m);
+    store_.node(to).on_receive(ctx, m);
     st.rx_payload = 0;
   }
 
@@ -361,12 +330,12 @@ class ShardedEngine {
   }
 
   std::size_t footprint_bytes() const {
-    std::size_t fp = soa_.footprint_bytes() + wake_.footprint_bytes() +
+    std::size_t fp = store_.footprint_bytes() + wake_.footprint_bytes() +
                      crash_at_.capacity() * sizeof(Step);
     for (const auto& st : shards_) {
       for (const auto& slot : st.calendar) fp += slot.capacity() * sizeof(Delivery);
       for (const auto& ob : st.outbox) fp += ob.capacity() * sizeof(Boundary);
-      fp += st.inbox.footprint_bytes() + st.inbox_bits.footprint_bytes();
+      fp += st.inbox.footprint_bytes();
     }
     return fp;
   }
@@ -377,11 +346,9 @@ class ShardedEngine {
   NodeId block_ = 1;  // nodes per shard block (64-aligned)
   Step window_ = 1;   // W = L/O + 1, the conservative lookahead
 
-  SoaNodeStore<Node> soa_;
+  NodeStore<Node> store_;
   WakeSet wake_;
-  NetworkModel net_;
-  SendGate gate_;
-  ByzantineModel byz_;
+  Wire wire_;
   std::vector<Step> crash_at_;    // pending scheduled crash (kNever = none)
   bool any_crash_ = false;        // any online failure or restart scheduled
   std::vector<ShardState> shards_;
@@ -408,7 +375,6 @@ void ShardedEngine<Node>::run_window(int sidx, Step win_lo, Step win_hi) {
   auto& st = shards_[static_cast<std::size_t>(sidx)];
   const bool one_per_step = cfg_.rx == RxPolicy::kOnePerStep;
   const bool profiled = cfg_.profile != nullptr;
-  const NodeId local_n = st.hi - st.lo;
   const std::int64_t boundary0 = st.boundary_msgs;
   bool did_work = false;
   NodeId awake = 0;  // nodes the step's sweep left awake (some may be done)
@@ -424,7 +390,7 @@ void ShardedEngine<Node>::run_window(int sidx, Step win_lo, Step win_hi) {
       ++st.next_revive;
       did_work = true;
       maybe_lazy_kill(sidx, i, s);
-      if (soa_.revive(i, params_)) {
+      if (store_.revive(i, params_)) {
         ++st.revived;
         st.last_activity = std::max(st.last_activity, s);
         trace(sidx, {s, TraceEvent::Kind::kRestart, i, kNoNode, Tag::kGossip});
@@ -457,35 +423,19 @@ void ShardedEngine<Node>::run_window(int sidx, Step win_lo, Step win_hi) {
       if (!one_per_step) {
         for (const auto& d : slot) dispatch(sidx, d.to, d.msg, s);
       } else {
-        // Stage into the slab inbox; per-node arrival order must be the
-        // canonical rx order, so re-sort grouped by destination.
-        std::sort(slot.begin(), slot.end(),
-                  [](const Delivery& a, const Delivery& b) {
-                    return a.to != b.to ? a.to < b.to
-                                        : rx_order_before(a.msg, b.msg);
-                  });
-        for (const auto& d : slot) {
-          const auto local = static_cast<std::size_t>(d.to - st.lo);
-          st.inbox.push(local, d.msg);
-          st.inbox_bits.set(d.to - st.lo);
-        }
+        st.inbox.push_due(slot, st.lo);
         st.delivered -= static_cast<std::int64_t>(slot.size());  // on pop
       }
       slot.clear();
     }
     if (one_per_step) {
       // Consume at most one queued message per node, in node-id order,
-      // even for dead/done nodes (mirrors the other engines' drain).
-      st.inbox_bits.for_each_set(0, local_n, [&](NodeId local) {
+      // even for dead/done nodes (as on the stepped engine).
+      st.inbox.pop_each([&](NodeId local, const Message& m) {
         did_work = true;
-        const NodeId i = st.lo + local;
-        const Message m = st.inbox.front(static_cast<std::size_t>(local));
-        st.inbox.pop(static_cast<std::size_t>(local));
-        if (st.inbox.empty(static_cast<std::size_t>(local)))
-          st.inbox_bits.clear(local);
         ++st.delivered;
         st.last_activity = std::max(st.last_activity, s);
-        dispatch(sidx, i, m, s);
+        dispatch(sidx, st.lo + local, m, s);
       });
     }
 
@@ -494,22 +444,22 @@ void ShardedEngine<Node>::run_window(int sidx, Step win_lo, Step win_hi) {
     // step skips its tick.
     if (s >= st.next_wake) st.next_wake = wake_.wake_due(st.lo, st.hi, s);
     awake = 0;
-    soa_.active_bits().for_each_set_and(wake_.awake(), st.lo, st.hi,
+    store_.active_bits().for_each_set_and(wake_.awake(), st.lo, st.hi,
                                         [&](NodeId i) {
       if (any_crash_ && crash_at_[static_cast<std::size_t>(i)] <= s) {
         maybe_lazy_kill(sidx, i, s);
         return;
       }
       ++awake;
-      if (soa_.activated_at(i) == s) return;
+      if (store_.activated_at(i) == s) return;
       did_work = true;
       if (profiled) ++st.prof_tick;
       ShardView view{this, sidx};
       Ctx ctx(view, i);
-      auto& nd = soa_.node(i);
+      auto& nd = store_.node(i);
       nd.on_tick(ctx);
       const Step wake = next_tick_of(nd, s + 1);
-      if (wake > s + 1 && soa_.active_bits().test(i)) {
+      if (wake > s + 1 && store_.active_bits().test(i)) {
         wake_.sleep(i, std::min(wake, crash_at_[static_cast<std::size_t>(i)]),
                     st.next_wake);
         --awake;
@@ -536,24 +486,19 @@ RunMetrics ShardedEngine<Node>::run() {
   window_ = cfg_.logp.delivery_delay();
   CG_CHECK(window_ >= 1);
 
-  soa_.reset(cfg_.n, cfg_.seed, params_);
-  net_.reset(cfg_);
-  gate_.reset(cfg_.n);
-  byz_.reset(cfg_.n, cfg_.root, cfg_.seed, cfg_.byzantine);
-  for (const auto& b : cfg_.byzantine.nodes) soa_.mark_byzantine(b.node);
+  store_.reset(cfg_, params_);
+  wire_.reset(cfg_);
   crash_at_.assign(n, kNever);
 
-  const auto cal_slots = static_cast<std::size_t>(net_.max_delay()) + 1;
+  const auto cal_slots = static_cast<std::size_t>(wire_.max_delay()) + 1;
   shards_.assign(static_cast<std::size_t>(nshards_), ShardState{});
   for (int w = 0; w < nshards_; ++w) {
     auto& st = shards_[static_cast<std::size_t>(w)];
     st.lo = std::min(static_cast<NodeId>(w) * block_, cfg_.n);
     st.hi = std::min((static_cast<NodeId>(w) + 1) * block_, cfg_.n);
     st.calendar.assign(cal_slots, {});
-    if (cfg_.rx == RxPolicy::kOnePerStep) {
+    if (cfg_.rx == RxPolicy::kOnePerStep)
       st.inbox.reset(static_cast<std::size_t>(st.hi - st.lo));
-      st.inbox_bits.reset(st.hi - st.lo);
-    }
   }
 
   metrics_ = RunMetrics{};
@@ -569,7 +514,6 @@ RunMetrics ShardedEngine<Node>::run() {
   last_activity_ = -1;
   stop_ = false;
 
-  for (const NodeId i : cfg_.failures.pre_failed) soa_.pre_fail(i);
   for (const auto& of : cfg_.failures.online) {
     auto& ca = crash_at_[static_cast<std::size_t>(of.node)];
     ca = std::min(ca, of.at_step);
@@ -585,7 +529,6 @@ RunMetrics ShardedEngine<Node>::run() {
                      [](const Restart& a, const Restart& b) {
                        return a.up_at < b.up_at;
                      });
-  CG_CHECK_MSG(soa_.alive(cfg_.root), "root must be active at start");
 
   EngineProfile* prof = cfg_.profile;
   if (prof != nullptr) *prof = EngineProfile{};
@@ -594,16 +537,16 @@ RunMetrics ShardedEngine<Node>::run() {
 
   // Start: single-threaded on_start at step 0; sends land directly in the
   // destination shard's calendar (in_start_ gates the outbox path).
-  soa_.activate(cfg_.root, 0);
+  store_.activate(cfg_.root, 0);
   wake_.wake(cfg_.root);
   active_count_ = 1;
   in_start_ = true;
   for (NodeId i = 0; i < cfg_.n; ++i) {
-    if (!soa_.alive(i)) continue;
+    if (!store_.alive(i)) continue;
     if (prof != nullptr) ++prof->callbacks_start;
     ShardView view{this, owner_of(i)};
     Ctx ctx(view, i);
-    soa_.node(i).on_start(ctx);
+    store_.node(i).on_start(ctx);
   }
   in_start_ = false;
   fold_deltas();
@@ -725,7 +668,7 @@ RunMetrics ShardedEngine<Node>::run() {
   if (any_crash_) for (NodeId i = 0; i < cfg_.n; ++i) {
     const Step ca = crash_at_[static_cast<std::size_t>(i)];
     if (ca == kNever || ca >= t_end) continue;
-    const auto t = soa_.kill(i);
+    const auto t = store_.kill(i);
     if (t.changed && cfg_.trace != nullptr)
       cfg_.trace->on_event({std::max<Step>(ca, 0), TraceEvent::Kind::kFail, i,
                             kNoNode, Tag::kGossip});
@@ -755,7 +698,7 @@ RunMetrics ShardedEngine<Node>::run() {
     prof->wall_s = ProfileClock::seconds_since(prof_run0);
   }
   for (const auto& st : shards_) st.counts.merge_into(metrics_);
-  soa_.finalize(metrics_, cfg_.root, t_end, cfg_.record_node_detail);
+  store_.finalize(metrics_, cfg_.root, t_end, cfg_.record_node_detail);
   if (cfg_.telemetry != nullptr) cfg_.telemetry->finish_run(metrics_);
   return metrics_;
 }

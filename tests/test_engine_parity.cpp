@@ -29,6 +29,7 @@
 #include "obs/report.hpp"
 #include "obs/trace_sinks.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault/validate.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/trace.hpp"
 
@@ -405,6 +406,86 @@ TEST(EngineParity, RandomizedFaultStacksTraceByteParity) {
     if (seed % 10 == 0) {
       ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 3));
       ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 5));
+    }
+  }
+}
+
+// Pinned model: both engines share one node store, one inbox and one send
+// path, so stepped-vs-sharded parity alone cannot see a change to them.
+// Three fixed configs - CCG on the full fault stack with spammers,
+// corruptors and kOnePerStep; SBRB with equivocators and restarts; FCG with
+// stragglers and online failures - must reproduce the 64-bit FNV-1a
+// digests of the canonical JSONL trace and of the RunMetrics JSON recorded
+// when the model was folded into src/sim/core/, on the stepped engine and
+// on the sharded engine with 3 shards.  A digest change is a change to the
+// simulated model: re-record the constants only for an intended one.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct PinnedRun {
+  Algo algo;
+  AlgoConfig acfg;
+  RunConfig cfg;
+  std::uint64_t trace_digest;
+  std::uint64_t metrics_digest;
+};
+
+std::vector<PinnedRun> pinned_runs() {
+  std::vector<PinnedRun> runs;
+
+  AlgoConfig ccg = algo_cfg(Algo::kCcg);
+  ccg.reliable.enabled = true;
+  RunConfig ccg_cfg = faulty_cfg(41, RxPolicy::kOnePerStep);
+  ccg_cfg.byzantine.nodes = {{70, ByzMode::kSpammer},
+                             {90, ByzMode::kSpammer},
+                             {100, ByzMode::kCorruptor},
+                             {110, ByzMode::kCorruptor}};
+  runs.push_back({Algo::kCcg, ccg, ccg_cfg, 0xe777564a0a716950ull,
+                  0x3d7d9ba3d80ed3c2ull});
+
+  AlgoConfig sbrb;
+  sbrb.sbrb_eps = 1e-3;
+  sbrb.sbrb_byz_frac = 0.15;
+  RunConfig sbrb_cfg;
+  sbrb_cfg.n = 160;
+  sbrb_cfg.logp = LogP::piz_daint();
+  sbrb_cfg.seed = 43;
+  for (const NodeId i : {7, 31, 58, 77, 101, 133})
+    sbrb_cfg.byzantine.nodes.push_back({i, ByzMode::kEquivocator});
+  sbrb_cfg.failures.restarts = {{20, 4, 30}, {90, 12, 40}};
+  runs.push_back({Algo::kSbrb, sbrb, sbrb_cfg, 0xf82671e6e032b024ull,
+                  0x50ca1fe0e5bd97c3ull});
+
+  RunConfig fcg_cfg = harsh_cfg(47, RxPolicy::kDrainAll);
+  fcg_cfg.stragglers = {{12, 3}, {64, 2}, {99, 4}};
+  fcg_cfg.failures.online.push_back({120, 30});
+  runs.push_back({Algo::kFcg, algo_cfg(Algo::kFcg), fcg_cfg,
+                  0x509f4993e14997b2ull, 0x2c1eca90541a071dull});
+  return runs;
+}
+
+TEST(EngineParity, TraceAndMetricsDigestsMatchPinnedModel) {
+  for (const PinnedRun& run : pinned_runs()) {
+    ASSERT_EQ(config_error(run.cfg), "") << algo_name(run.algo);
+    for (const auto& [kind, shards] :
+         {std::pair{EngineKind::kStepped, 1},
+          std::pair{EngineKind::kSharded, 3}}) {
+      VectorTrace trace;
+      RunConfig cfg = run.cfg;
+      cfg.trace = &trace;
+      const RunMetrics m = run_once(run.algo, run.acfg, cfg, {kind, shards});
+      std::vector<TraceEvent> events = trace.events();
+      obs::canonical_sort(events);
+      SCOPED_TRACE(std::string(algo_name(run.algo)) + " on " +
+                   engine_name(kind));
+      EXPECT_EQ(fnv1a(obs::to_jsonl(events)), run.trace_digest);
+      EXPECT_EQ(fnv1a(obs::to_json(m)), run.metrics_digest);
     }
   }
 }

@@ -24,6 +24,7 @@
 #include "obs/trace_sinks.hpp"
 #include "sim/core/bitset.hpp"
 #include "sim/core/inbox.hpp"
+#include "sim/core/node_store.hpp"
 #include "sim/engine.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/topology.hpp"
@@ -423,6 +424,23 @@ TEST(PackedBits, SetTestClearAndWordBoundaries) {
   seen.clear();
   b.for_each_set(100, 100, [&](NodeId i) { seen.push_back(i); });
   EXPECT_TRUE(seen.empty());
+}
+
+// The memory plan counts every per-node array the store holds: the
+// protocol slab, the RNG streams and the lifecycle arrays (alive, state and
+// Byzantine bytes, held/delivered payload digests, four step stamps =
+// 3 + 2 * 4 + 4 * 8 = 43 bytes per node).
+TEST(NodeStore, FootprintCountsEveryLifecycleArray) {
+  RunConfig cfg;
+  cfg.n = 1000;
+  NodeStore<GosNode> store;
+  store.reset(cfg, GosNode::Params{});
+  constexpr std::size_t kLifecycle =
+      3 * sizeof(std::uint8_t) + 2 * sizeof(std::uint32_t) + 4 * sizeof(Step);
+  static_assert(kLifecycle == 43);
+  EXPECT_GE(store.footprint_bytes(),
+            static_cast<std::size_t>(cfg.n) *
+                (sizeof(GosNode) + sizeof(Xoshiro256) + kLifecycle));
 }
 
 TEST(InboxSlab, FifoPerNodeAcrossSharedArena) {
