@@ -18,6 +18,8 @@ int main(int argc, char** argv) {
   const auto n = static_cast<NodeId>(flags.get_int("n", 1024));
   const int trials = static_cast<int>(flags.get_int("trials", 300));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const int threads = bench::threads_flag(flags);
+  flags.check_all_read();
   const double eps = 1e-4;
 
   bench::print_header("Ablation: OCG sweep vs chained correction");
@@ -31,7 +33,7 @@ int main(int argc, char** argv) {
     const int k = k_bar_for(n, n, t.T_opt + 1, logp, eps);
     for (const Algo a : {Algo::kOcg, Algo::kOcgChain}) {
       TrialSpec spec;
-      spec.threads = bench::threads_flag(flags);
+      spec.threads = threads;
       spec.algo = a;
       spec.acfg.T = t.T_opt + 1;
       spec.acfg.ocg_corr_sends = a == Algo::kOcg ? k + 1 : k;

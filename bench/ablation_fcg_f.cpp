@@ -17,6 +17,8 @@ int main(int argc, char** argv) {
   const auto n = static_cast<NodeId>(flags.get_int("n", 1024));
   const int trials = static_cast<int>(flags.get_int("trials", 300));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const int threads = bench::threads_flag(flags);
+  flags.check_all_read();
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-5;
 
@@ -28,7 +30,7 @@ int main(int argc, char** argv) {
   for (const int f : {0, 1, 2, 3}) {
     const FcgTuning t = tune_fcg(n, n, logp, eps, f);
     TrialSpec spec;
-    spec.threads = bench::threads_flag(flags);
+    spec.threads = threads;
     spec.algo = Algo::kFcg;
     spec.acfg.T = t.T_opt + 1;
     spec.acfg.fcg_f = f;

@@ -18,6 +18,8 @@ int main(int argc, char** argv) {
   const auto n = static_cast<NodeId>(flags.get_int("n", 1024));
   const int trials = static_cast<int>(flags.get_int("trials", 300));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const int threads = bench::threads_flag(flags);
+  flags.check_all_read();
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-4;
 
@@ -30,7 +32,7 @@ int main(int argc, char** argv) {
     for (const Algo a : {Algo::kOcg, Algo::kCcg, Algo::kFcg}) {
       const TunedAlgo tuned = tune_for(a, n, n, logp, eps, 1);
       TrialSpec spec;
-      spec.threads = bench::threads_flag(flags);
+      spec.threads = threads;
       spec.algo = a;
       spec.acfg = tuned.acfg;
       spec.n = n;

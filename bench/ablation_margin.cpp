@@ -22,6 +22,8 @@ int main(int argc, char** argv) {
   // A deliberately loose default budget so the zero-margin row's misses
   // are visible at bench-scale trial counts.
   const double eps = flags.get_double("eps", 1e-3);
+  const int threads = bench::threads_flag(flags);
+  flags.check_all_read();
 
   const Tuning t = tune_ocg(n, n, logp, eps);
   bench::print_header("Ablation: OCG tuning margins");
@@ -33,7 +35,7 @@ int main(int argc, char** argv) {
   for (const int tm : {0, 1, 2}) {
     for (const int cm : {0, 1, 2}) {
       TrialSpec spec;
-      spec.threads = bench::threads_flag(flags);
+      spec.threads = threads;
       spec.algo = Algo::kOcg;
       spec.acfg.T = t.T_opt + tm;
       spec.acfg.ocg_corr_sends =

@@ -17,6 +17,8 @@ int main(int argc, char** argv) {
   const auto n = static_cast<NodeId>(flags.get_int("n", 1024));
   const int trials = static_cast<int>(flags.get_int("trials", 300));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const int threads = bench::threads_flag(flags);
+  flags.check_all_read();
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-5;
 
@@ -28,7 +30,7 @@ int main(int argc, char** argv) {
     const TunedAlgo tuned = tune_for(a, n, n, logp, eps, 1);
     for (const RxPolicy rx : {RxPolicy::kDrainAll, RxPolicy::kOnePerStep}) {
       TrialSpec spec;
-      spec.threads = bench::threads_flag(flags);
+      spec.threads = threads;
       spec.algo = a;
       spec.acfg = tuned.acfg;
       spec.n = n;

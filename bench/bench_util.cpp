@@ -4,8 +4,7 @@
 
 namespace cg::bench {
 
-bool maybe_write_csv(const Flags& flags, const Table& table) {
-  const std::string path = flags.get_string("csv", "");
+bool maybe_write_csv(const std::string& path, const Table& table) {
   if (path.empty()) return false;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {

@@ -53,8 +53,10 @@ inline int threads_flag(const Flags& flags) {
   return static_cast<int>(flags.get_int("threads", 0));
 }
 
-/// If --csv=<path> was passed, write the table's CSV there (for plotting
-/// the figure with external tools).  Returns true if written.
-bool maybe_write_csv(const Flags& flags, const Table& table);
+/// If `path` (the bench's --csv=<path>, read up front with the other
+/// flags so check_all_read sees it) is non-empty, write the table's CSV
+/// there for plotting the figure with external tools.  Returns true if
+/// written.
+bool maybe_write_csv(const std::string& path, const Table& table);
 
 }  // namespace cg::bench

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const auto max_n = static_cast<NodeId>(flags.get_int("max-n", 4096));
   const int trials = static_cast<int>(flags.get_int("trials", 150));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  flags.check_all_read();
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-4;
 

@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   const auto rack = static_cast<NodeId>(flags.get_int("rack", 32));
   const int trials = static_cast<int>(flags.get_int("trials", 200));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  flags.check_all_read();
   const LogP logp = LogP::piz_daint();
   const double eps = 1e-4;
 

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const auto n = static_cast<NodeId>(flags.get_int("n", 1024));
   const int trials = static_cast<int>(flags.get_int("trials", 300));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  flags.check_all_read();
   const LogP logp = LogP::unit();
 
   bench::print_header("Extension: push-pull vs push-only gossip");

@@ -25,6 +25,9 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(flags.get_int("trials", 400));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const Step tmax = flags.get_int("tmax", 34);
+  const std::string csv = flags.get_string("csv", "");
+  const bool show_rounds = flags.get_bool("rounds", false);
+  flags.check_all_read();
   const LogP logp = LogP::unit();
 
   bench::print_header(
@@ -72,7 +75,7 @@ int main(int argc, char** argv) {
                    Table::cell("%d", cd.k_bar(0.01))});
   }
   table.print();
-  bench::maybe_write_csv(flags, table);
+  bench::maybe_write_csv(csv, table);
 
   std::printf("\n");
   AsciiPlot plot(static_cast<int>(2 * tmax + 2), 14);
@@ -80,7 +83,7 @@ int main(int argc, char** argv) {
   plot.add_series("K99 (longest uncolored chain)", 'k', k_pts);
   plot.print();
 
-  if (flags.get_bool("rounds", false)) {
+  if (show_rounds) {
     std::printf(
         "\n# Drezner-Barak round model: success rate of full coloring\n");
     Table rt({"rounds", "success rate", "mean informed"});

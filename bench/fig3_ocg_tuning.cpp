@@ -29,6 +29,9 @@ int main(int argc, char** argv) {
   const Step tmax = flags.get_int("tmax", 36);
   const double eps =
       flags.get_double("eps", eps_for_runs(0.5, static_cast<double>(trials)));
+  const int threads = bench::threads_flag(flags);
+  const std::string csv = flags.get_string("csv", "");
+  flags.check_all_read();
   const LogP logp = LogP::unit();
 
   bench::print_header("Figure 3: OCG total time vs gossip time T");
@@ -43,7 +46,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<double, double>> pred_pts, sim_pts;
   for (Step T = tmin; T <= tmax; ++T) {
     TrialSpec spec;
-    spec.threads = bench::threads_flag(flags);
+    spec.threads = threads;
     spec.algo = Algo::kOcg;
     spec.acfg.T = T;
     // Generous sweep so that (essentially) every run reaches all nodes;
@@ -70,7 +73,7 @@ int main(int argc, char** argv) {
                      static_cast<long long>(agg.trials))});
   }
   table.print();
-  bench::maybe_write_csv(flags, table);
+  bench::maybe_write_csv(csv, table);
 
   std::printf("\n");
   AsciiPlot plot(static_cast<int>(2 * (tmax - tmin) + 2), 14);

@@ -22,6 +22,9 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const double eps = flags.get_double("eps", paper_eps());
   const ExecConfig exec = exec_from_flags(flags);
+  const int threads = bench::threads_flag(flags);
+  const std::string csv = flags.get_string("csv", "");
+  flags.check_all_read();
   const LogP logp = LogP::piz_daint();
 
   bench::print_header("Figure 7a: latency scaling, failure-free");
@@ -39,7 +42,7 @@ int main(int argc, char** argv) {
           run_scenario(a, n, 0, logp, trials,
                        derive_seed(seed, static_cast<std::uint64_t>(n) * 8 +
                                              static_cast<std::uint64_t>(a)),
-                       eps, 1, bench::threads_flag(flags), exec);
+                       eps, 1, threads, exec);
       row.push_back(Table::cell(
           "%.0f", logp.us(1) * (r.agg.t_complete.empty()
                                     ? 0.0
@@ -52,7 +55,7 @@ int main(int argc, char** argv) {
     table.add_row(std::move(row));
   }
   table.print();
-  bench::maybe_write_csv(flags, table);
+  bench::maybe_write_csv(csv, table);
   std::printf("\n# paper shape: OCG fastest throughout; FCG beats BIG from "
               "N>=512; BFB slowest; all corrected-gossip curves grow ~log N\n");
   return 0;

@@ -27,6 +27,9 @@ int main(int argc, char** argv) {
   const Step tmax = flags.get_int("tmax", 44);
   const double eps =
       flags.get_double("eps", eps_for_runs(0.5, static_cast<double>(trials)));
+  const int threads = bench::threads_flag(flags);
+  const std::string csv = flags.get_string("csv", "");
+  flags.check_all_read();
   const LogP logp = LogP::unit();
 
   bench::print_header("Figure 9: FCG completion time vs gossip time T");
@@ -42,7 +45,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<double, double>> pred_pts, sim_pts;
   for (Step T = tmin; T <= tmax; T += 2) {
     TrialSpec spec;
-    spec.threads = bench::threads_flag(flags);
+    spec.threads = threads;
     spec.algo = Algo::kFcg;
     spec.acfg.T = T;
     spec.acfg.fcg_f = f;
@@ -63,7 +66,7 @@ int main(int argc, char** argv) {
          Table::cell("%lld", static_cast<long long>(agg.sos_trials))});
   }
   table.print();
-  bench::maybe_write_csv(flags, table);
+  bench::maybe_write_csv(csv, table);
 
   std::printf("\n");
   AsciiPlot plot(static_cast<int>(2 * (tmax - tmin) + 2), 14);

@@ -46,6 +46,9 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(flags.get_int("trials", 200));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const double eps = flags.get_double("eps", paper_eps());
+  const int threads = bench::threads_flag(flags);
+  const std::string csv = flags.get_string("csv", "");
+  flags.check_all_read();
   const LogP logp = LogP::piz_daint();
   const bool is_paper_n = (n == 4096);
 
@@ -70,7 +73,7 @@ int main(int argc, char** argv) {
       const ScenarioResult r = run_scenario(
           sims[a], n, f_hat, logp, trials,
           derive_seed(seed, static_cast<std::uint64_t>(a * 2 + (f_hat > 0))),
-          eps, /*f=*/1, bench::threads_flag(flags));
+          eps, /*f=*/1, threads);
       const PaperRow& p = paper[a][f_hat > 0 ? 1 : 0];
       table.add_row(
           {algo_name(sims[a]), Table::cell("%d", f_hat),
@@ -102,7 +105,7 @@ int main(int argc, char** argv) {
                    is_paper_n ? "0%" : "-"});
   }
   table.print();
-  bench::maybe_write_csv(flags, table);
+  bench::maybe_write_csv(csv, table);
 
   // Expected-work models (analysis/work_model.hpp) next to the simulation.
   std::printf("\n");

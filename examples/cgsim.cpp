@@ -93,19 +93,9 @@ int main(int argc, char** argv) {
 
   const std::string algo_s = flags.get_string("algo", "ccg");
   Algo algo;
-  if (algo_s == "gos") algo = Algo::kGos;
-  else if (algo_s == "ocg") algo = Algo::kOcg;
-  else if (algo_s == "ccg") algo = Algo::kCcg;
-  else if (algo_s == "fcg") algo = Algo::kFcg;
-  else if (algo_s == "chain") algo = Algo::kOcgChain;
-  else if (algo_s == "big") algo = Algo::kBig;
-  else if (algo_s == "bfb") algo = Algo::kBfb;
-  else if (algo_s == "opt") algo = Algo::kOpt;
-  else if (algo_s == "sbrb") algo = Algo::kSbrb;
-  else {
-    std::fprintf(stderr,
-                 "unknown --algo=%s (gos|ocg|ccg|fcg|chain|big|bfb|opt|sbrb)\n",
-                 algo_s.c_str());
+  if (!algo_from_name(algo_s, algo)) {
+    std::fprintf(stderr, "unknown --algo=%s (%s)\n", algo_s.c_str(),
+                 algo_names_list());
     return 2;
   }
 

@@ -30,6 +30,7 @@
 // exact --replay command.  --replay re-executes that one trial on the
 // stepped engine (same seed and fault schedule) and, with --replay-out,
 // writes its full JSONL trace - the artifact ring is the exact suffix.
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -69,7 +70,16 @@ int replay_trial(const cg::CampaignConfig& cfg,
   }
   const std::string sc_name = what.substr(0, first);
   const std::string en_label = what.substr(first + 1, last - first - 1);
-  const int trial = std::atoi(what.c_str() + last + 1);
+  const std::string trial_s = what.substr(last + 1);
+  int trial = 0;
+  const auto [end, ec] =
+      std::from_chars(trial_s.data(), trial_s.data() + trial_s.size(), trial);
+  if (ec != std::errc{} || end != trial_s.data() + trial_s.size()) {
+    std::fprintf(stderr,
+                 "fault_campaign: --replay=%s: trial is not an integer\n",
+                 what.c_str());
+    return 2;
+  }
 
   const FaultScenario* sc = nullptr;
   for (const auto& s : scenarios)

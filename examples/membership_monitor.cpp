@@ -19,7 +19,8 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = static_cast<NodeId>(flags.get_int("n", 256));
+  // The manager plus at least one member that can crash.
+  const auto n = static_cast<NodeId>(flags.get_int_at_least("n", 256, 2));
   const int rounds = static_cast<int>(flags.get_int("rounds", 6));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
   flags.check_all_read();

@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   const cg::Flags flags(argc, argv);
-  const auto n = static_cast<cg::NodeId>(flags.get_int("n", 1024));
+  const auto n = static_cast<cg::NodeId>(flags.get_int_at_least("n", 1024, 1));
   const int threads = static_cast<int>(flags.get_int("threads", 0));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   flags.check_all_read();

@@ -2,8 +2,8 @@
 // small broadcast (N = 10) with full event tracing and print every send,
 // receive, coloring and completion, plus the final per-node outcome.
 //
-//   ./trace_ring [--algo=ocg|ccg|fcg] [--n=10] [--t=2] [--seed=3] [--f=1]
-//                [--corr=6] [--trace-out=<file>]
+//   ./trace_ring [--algo=gos|ocg|ccg|fcg|chain|big|bfb|opt|sbrb] [--n=10]
+//                [--t=2] [--seed=3] [--f=1] [--corr=6] [--trace-out=<file>]
 //
 // Figure 2 (OCG):  ./trace_ring --algo=ocg --t=2 --corr=6
 // Figure 4 (CCG):  ./trace_ring --algo=ccg --t=4
@@ -24,18 +24,19 @@ int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
   const std::string algo_s = flags.get_string("algo", "ccg");
-  const auto n = static_cast<NodeId>(flags.get_int("n", 10));
-  const Step T = flags.get_int("t", algo_s == "ocg" ? 2 : 4);
+  Algo algo;
+  if (!algo_from_name(algo_s, algo)) {
+    std::fprintf(stderr, "unknown --algo=%s (%s)\n", algo_s.c_str(),
+                 algo_names_list());
+    return 2;
+  }
+  const auto n = static_cast<NodeId>(flags.get_int_at_least("n", 10, 1));
+  const Step T = flags.get_int("t", algo == Algo::kOcg ? 2 : 4);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
   const Step corr = flags.get_int("corr", 6);
   const int f = static_cast<int>(flags.get_int("f", 1));
   const std::string trace_out = flags.get_string("trace-out", "");
   flags.check_all_read();
-
-  Algo algo = Algo::kCcg;
-  if (algo_s == "ocg") algo = Algo::kOcg;
-  else if (algo_s == "fcg") algo = Algo::kFcg;
-  else if (algo_s == "gos") algo = Algo::kGos;
 
   AlgoConfig acfg;
   acfg.T = T;

@@ -7,6 +7,7 @@
 //   ./tuning_advisor [--n=4096] [--l=2] [--o=1] [--runs=1e6] [--psi=0.5]
 //                    [--f=1] [--active=<n>]
 #include <cstdio>
+#include <string>
 
 #include "analysis/baseline_models.hpp"
 #include "analysis/coloring.hpp"
@@ -20,10 +21,17 @@
 int main(int argc, char** argv) {
   using namespace cg;
   const Flags flags(argc, argv);
-  const auto n = static_cast<NodeId>(flags.get_int("n", 4096));
-  const auto active = static_cast<NodeId>(flags.get_int("active", n));
-  const LogP logp{.l_over_o = flags.get_int("l", 2) / flags.get_int("o", 1),
-                  .o_us = static_cast<double>(flags.get_int("o", 1))};
+  // The gossip forecast needs someone besides the root to reach.
+  const auto n = static_cast<NodeId>(flags.get_int_at_least("n", 4096, 2));
+  const auto active =
+      static_cast<NodeId>(flags.get_int_at_least("active", n, 1));
+  if (active > n)
+    flags.fail("active", "must be <= --n=" + std::to_string(n));
+  const std::int64_t o = flags.get_int_at_least("o", 1, 1);
+  const std::int64_t l = flags.get_int_at_least("l", 2, 0);
+  if (l % o != 0)
+    flags.fail("l", "must be a multiple of --o=" + std::to_string(o));
+  const LogP logp{.l_over_o = l / o, .o_us = static_cast<double>(o)};
   const double runs = flags.get_double("runs", 1e6);
   const double psi = flags.get_double("psi", 0.5);
   const int f = static_cast<int>(flags.get_int("f", 1));

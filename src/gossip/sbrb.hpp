@@ -283,6 +283,12 @@ class SbrbNode {
     // Urgent before bulk; the wire Message is materialized at pop time.
     auto& q = !empty(urgent_) ? urgent_ : bulk_;
     const Staged st = q.items[q.head++];
+    // A drained queue restarts at the front, so its capacity tracks the
+    // peak backlog rather than every send of the run.
+    if (q.head == q.items.size()) {
+      q.items.clear();
+      q.head = 0;
+    }
     Message m;
     m.tag = st.tag;
     m.payload = st.payload;

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
@@ -89,63 +91,170 @@ namespace {
 class ArtifactSink {
  public:
   ArtifactSink(const CampaignConfig& cfg, const std::vector<CampaignCell>& cells)
-      : cfg_(cfg), cells_(cells), dumped_(cells.size(), 0) {}
+      : cfg_(cfg), cells_(cells), kept_(cells.size()) {}
+
+  /// Ring capacity of each worker's flight recorder.
+  std::size_t flight_capacity() const {
+    return cfg_.flight_capacity > 0
+               ? static_cast<std::size_t>(cfg_.flight_capacity)
+               : obs::FlightRecorder::kDefaultCapacity;
+  }
 
   /// Called after a violating trial: dump `fr` and remember the artifact.
+  /// Each cell keeps its max_artifacts_per_cell LOWEST violating trials -
+  /// a later-finishing lower trial replaces the highest kept one and
+  /// deletes its file - so the set on disk does not depend on the order
+  /// the workers finished in.
   void dump(int cell, int trial, std::uint64_t seed,
             const obs::FlightRecorder& fr, const RunMetrics& m) {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto c = static_cast<std::size_t>(cell);
-    if (dumped_[c] >= cfg_.max_artifacts_per_cell) return;
-    FailureArtifact art;
-    art.scenario = cells_[c].scenario;
-    art.entry = cells_[c].entry;
-    art.trial = trial;
-    art.seed = seed;
-    art.truncated_run = m.hit_max_steps;
-    art.path = cfg_.artifacts_dir + "/" + art.scenario + "__" + art.entry +
-               "__t" + std::to_string(trial) + ".jsonl";
-    obs::FlightRecorder::DumpInfo info;
+    const auto& where = cells_[static_cast<std::size_t>(cell)];
+    auto& kept = kept_[static_cast<std::size_t>(cell)];
+    const auto highest = std::max_element(kept.begin(), kept.end(), by_trial);
+    const bool full =
+        static_cast<int>(kept.size()) >= cfg_.max_artifacts_per_cell;
+    if (full && (kept.empty() || highest->trial < trial)) return;
+    const std::string t = std::to_string(trial);
     std::string rerun = cfg_.rerun_prefix;
     if (!rerun.empty()) rerun += ' ';
-    rerun += "--replay=" + art.scenario + "/" + art.entry + "/" +
-             std::to_string(trial);
-    info.rerun = rerun;
-    info.scenario = art.scenario;
-    info.entry = art.entry;
-    info.trial = trial;
-    info.seed = seed;
-    info.truncated_run = m.hit_max_steps;
-    if (!fr.dump_jsonl(art.path, info)) return;
-    ++dumped_[c];
-    recs_.push_back({cell, std::move(art)});
+    rerun += "--replay=" + where.scenario + "/" + where.entry + "/" + t;
+    FailureArtifact art{where.scenario, where.entry, trial, seed,
+                        cfg_.artifacts_dir + "/" + where.scenario + "__" +
+                            where.entry + "__t" + t + ".jsonl",
+                        m.hit_max_steps};
+    if (!fr.dump_jsonl(art.path, {rerun, where.scenario, where.entry, trial,
+                                  seed, m.hit_max_steps}))
+      return;
+    if (full) {
+      std::error_code ignored;
+      std::filesystem::remove(highest->path, ignored);
+      *highest = std::move(art);
+    } else {
+      kept.push_back(std::move(art));
+    }
   }
 
   /// Artifacts in deterministic (cell, trial) order.
   std::vector<FailureArtifact> take_sorted() {
-    std::sort(recs_.begin(), recs_.end(), [](const Rec& a, const Rec& b) {
-      return a.cell != b.cell ? a.cell < b.cell : a.art.trial < b.art.trial;
-    });
     std::vector<FailureArtifact> out;
-    out.reserve(recs_.size());
-    for (auto& r : recs_) out.push_back(std::move(r.art));
-    recs_.clear();
+    for (auto& kept : kept_) {
+      std::sort(kept.begin(), kept.end(), by_trial);
+      for (auto& art : kept) out.push_back(std::move(art));
+    }
     return out;
   }
 
  private:
-  struct Rec {
-    int cell;
-    FailureArtifact art;
-  };
   const CampaignConfig& cfg_;
   const std::vector<CampaignCell>& cells_;
   std::mutex mu_;
-  std::vector<int> dumped_;
-  std::vector<Rec> recs_;
+  std::vector<std::vector<FailureArtifact>> kept_;  // per cell
+
+  static bool by_trial(const FailureArtifact& a, const FailureArtifact& b) {
+    return a.trial < b.trial;
+  }
 };
 
+/// The trial farm behind run_trials and run_campaign: runs every trial of
+/// every cell (cells[c] runs specs[c]) on `threads` pool participants
+/// (<= 0 = auto) and absorbs each cell's RunMetrics into cells[c].agg in
+/// trial order, so the result is byte-identical for any thread count.
+/// Beats `heartbeat` once per trial, counting trial_violates(guarantee, m)
+/// as a failure; with `artifacts`, every trial runs under a per-worker
+/// flight recorder that the sink dumps when the trial violates.  Returns
+/// the failure count.
+std::int64_t run_farm(std::span<const TrialSpec> specs,
+                      std::span<CampaignCell> cells, int threads,
+                      Heartbeat* heartbeat, ArtifactSink* artifacts) {
+  std::int64_t total = 0;
+  for (const auto& spec : specs) total += spec.trials;
+  threads = static_cast<int>(std::min<std::int64_t>(
+      resolve_threads(threads), std::max<std::int64_t>(total, 1)));
+
+  struct Slot {
+    TrialWorkspace ws;
+    std::optional<obs::FlightRecorder> fr;
+  };
+  std::vector<Slot> slots(static_cast<std::size_t>(threads));
+  if (artifacts != nullptr)
+    for (auto& s : slots) s.fr.emplace(artifacts->flight_capacity());
+  std::atomic<std::int64_t> done{0};
+  std::atomic<std::int64_t> failed{0};
+  const auto run_trial = [&](Slot& s, std::size_t c, int t) {
+    obs::FlightRecorder* fr = s.fr ? &*s.fr : nullptr;
+    if (fr != nullptr) fr->clear();
+    const RunMetrics m = s.ws.run(specs[c], t, fr);
+    if (trial_violates(cells[c].guarantee, m)) {
+      failed.fetch_add(1, std::memory_order_relaxed);
+      if (fr != nullptr)
+        artifacts->dump(static_cast<int>(c), t, s.ws.config().seed, *fr, m);
+    }
+    if (heartbeat != nullptr)
+      heartbeat->beat(done.fetch_add(1, std::memory_order_relaxed) + 1, total,
+                      failed.load(std::memory_order_relaxed));
+    return m;
+  };
+
+  // One participant: run the trials right here.  Going through
+  // parallel_for would mark this thread as pool work and so keep a
+  // multi-shard trial from claiming its own shard threads.
+  if (threads == 1) {
+    for (std::size_t c = 0; c < specs.size(); ++c)
+      for (int t = 0; t < specs[c].trials; ++t)
+        cells[c].agg.absorb(run_trial(slots.front(), c, t));
+    return failed.load(std::memory_order_relaxed);
+  }
+
+  // Flatten the cells into (cell, trial-range) units so parallelism spans
+  // cells, not just trials within one: many small cells would otherwise
+  // leave most workers idle at every cell boundary.  Units never straddle
+  // cells (each worker's cached engine switches workload at most once per
+  // unit), and each covers several trials so the engine reuse amortizes.
+  struct Unit {
+    std::size_t cell;
+    int t0;
+    int t1;
+    std::int64_t base;  // results index of (cell, 0)
+  };
+  std::vector<Unit> units;
+  std::int64_t base = 0;
+  for (std::size_t c = 0; c < specs.size(); ++c) {
+    const int trials = specs[c].trials;
+    const int unit = static_cast<int>(
+        std::clamp<std::int64_t>(total / (8 * threads), 1, trials));
+    for (int t0 = 0; t0 < trials; t0 += unit)
+      units.push_back({c, t0, std::min(t0 + unit, trials), base});
+    base += trials;
+  }
+  // Workers write per-(cell, trial) result slots; the reduction below
+  // runs in (cell, trial) order, so the aggregates are byte-identical to
+  // the one-participant path however the pool interleaved the work.
+  std::vector<RunMetrics> results(static_cast<std::size_t>(total));
+  ThreadPool::global(threads).parallel_for(
+      static_cast<std::int64_t>(units.size()), 1, threads,
+      [&](std::int64_t begin, std::int64_t end, int slot) {
+        auto& s = slots[static_cast<std::size_t>(slot)];
+        for (std::int64_t u = begin; u < end; ++u) {
+          const Unit& un = units[static_cast<std::size_t>(u)];
+          for (int t = un.t0; t < un.t1; ++t)
+            results[static_cast<std::size_t>(un.base + t)] =
+                run_trial(s, un.cell, t);
+        }
+      });
+  auto next = results.begin();
+  for (std::size_t c = 0; c < specs.size(); ++c)
+    for (int t = 0; t < specs[c].trials; ++t) cells[c].agg.absorb(*next++);
+  return failed.load(std::memory_order_relaxed);
+}
+
 }  // namespace
+
+TrialAggregate run_trials(const TrialSpec& spec) {
+  CG_CHECK(spec.trials >= 1);
+  CampaignCell cell;  // Guarantee::kNone: failures = truncated trials
+  run_farm({&spec, 1}, {&cell, 1}, spec.threads, spec.heartbeat, nullptr);
+  return std::move(cell.agg);
+}
 
 TrialSpec campaign_trial_spec(const CampaignConfig& cfg,
                               const FaultScenario& scenario,
@@ -163,19 +272,7 @@ TrialSpec campaign_trial_spec(const CampaignConfig& cfg,
   spec.max_steps = cfg.max_steps;
   spec.exec = cfg.exec;
 
-  spec.drop_prob = scenario.drop_prob;
-  spec.burst_loss = scenario.burst_loss;
-  spec.burst_mean = scenario.burst_mean;
-  spec.jitter_max = scenario.jitter_max;
-  spec.pre_failures = scenario.pre_failures;
-  spec.online_failures = scenario.online_failures;
-  spec.restarts = scenario.restarts;
-  spec.stragglers = scenario.stragglers;
-  spec.straggler_factor = scenario.straggler_factor;
-  spec.partition_nodes = scenario.partition_nodes;
-  spec.byz_count = scenario.byz_count;
-  spec.byz_mode = scenario.byz_mode;
-  spec.byz_include_root = scenario.byz_include_root;
+  static_cast<FaultKnobs&>(spec) = scenario;
 
   // FCG is configured for the crash level it is asked to survive.
   if (entry.algo == Algo::kFcg)
@@ -203,107 +300,18 @@ CampaignResult run_campaign(const CampaignConfig& cfg,
     }
   }
 
-  // Flatten the grid into (cell, trial) units so parallelism spans cells,
-  // not just trials within one: a campaign of many small cells would
-  // otherwise leave most workers idle at every cell boundary.  Units
-  // never straddle cells (each worker's cached engine switches workload
-  // at most once per unit), and each unit covers several trials so the
-  // engine reuse amortizes.
-  const std::int64_t total =
-      static_cast<std::int64_t>(n_cells) * cfg.trials;
-  const int threads = static_cast<int>(std::min<std::int64_t>(
-      resolve_threads(cfg.threads), std::max<std::int64_t>(total, 1)));
-  struct Unit {
-    int cell;
-    int t0;
-    int t1;
-  };
-  std::vector<Unit> units;
-  if (threads > 1 && total > 0) {
-    const int unit = static_cast<int>(std::clamp<std::int64_t>(
-        total / (8 * threads), 1, cfg.trials));
-    for (std::size_t c = 0; c < n_cells; ++c)
-      for (int t0 = 0; t0 < cfg.trials; t0 += unit)
-        units.push_back({static_cast<int>(c), t0,
-                         std::min(t0 + unit, cfg.trials)});
-  }
-
-  // Forensics: one flight recorder per worker, cleared between trials and
-  // dumped (under ArtifactSink's cap) whenever the cell's per-trial
-  // predicate fires.  The sinks observe only, so attaching them cannot
-  // perturb the metrics - the campaign stays byte-identical with and
-  // without an artifacts_dir.
-  const bool forensics = !cfg.artifacts_dir.empty();
-  const std::size_t flight_cap =
-      cfg.flight_capacity > 0 ? static_cast<std::size_t>(cfg.flight_capacity)
-                              : obs::FlightRecorder::kDefaultCapacity;
+  // Forensics: the farm's flight recorders observe only, so attaching
+  // them cannot perturb the metrics - the campaign stays byte-identical
+  // with and without an artifacts_dir.
   ArtifactSink artifacts(cfg, result.cells);
-  std::atomic<std::int64_t> done{0};
-  std::atomic<std::int64_t> violations{0};
-  const auto run_trial = [&](TrialWorkspace& w, obs::FlightRecorder* fr,
-                             int cell, int t) {
-    if (fr != nullptr) fr->clear();
-    const RunMetrics m = w.run(specs[static_cast<std::size_t>(cell)], t, fr);
-    if (trial_violates(result.cells[static_cast<std::size_t>(cell)].guarantee,
-                       m)) {
-      violations.fetch_add(1, std::memory_order_relaxed);
-      if (fr != nullptr)
-        artifacts.dump(cell, t,
-                       derive_seed(cfg.seed,
-                                   static_cast<std::uint64_t>(t) * 2 + 1),
-                       *fr, m);
-    }
-    if (cfg.heartbeat != nullptr)
-      cfg.heartbeat->beat(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                          total, violations.load(std::memory_order_relaxed));
-    return m;
-  };
-
-  if (units.empty()) {  // serial path: one workspace, cells in order
-    TrialWorkspace ws;
-    obs::FlightRecorder fr(flight_cap);
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      auto& cell = result.cells[c];
-      for (int t = 0; t < cfg.trials; ++t)
-        cell.agg.absorb(run_trial(ws, forensics ? &fr : nullptr,
-                                  static_cast<int>(c), t));
-    }
-  } else {
-    // Per-(cell, trial) result slots, reduced in (cell, trial) order
-    // below - same determinism contract as run_trials.
-    std::vector<RunMetrics> results(static_cast<std::size_t>(total));
-    std::vector<TrialWorkspace> ws(static_cast<std::size_t>(threads));
-    std::vector<obs::FlightRecorder> frs;
-    if (forensics) {
-      frs.reserve(static_cast<std::size_t>(threads));
-      for (int i = 0; i < threads; ++i) frs.emplace_back(flight_cap);
-    }
-    ThreadPool::global(threads).parallel_for(
-        static_cast<std::int64_t>(units.size()), 1, threads,
-        [&](std::int64_t begin, std::int64_t end, int slot) {
-          auto& w = ws[static_cast<std::size_t>(slot)];
-          obs::FlightRecorder* fr =
-              forensics ? &frs[static_cast<std::size_t>(slot)] : nullptr;
-          for (std::int64_t u = begin; u < end; ++u) {
-            const Unit& un = units[static_cast<std::size_t>(u)];
-            const auto base =
-                static_cast<std::int64_t>(un.cell) * cfg.trials;
-            for (int t = un.t0; t < un.t1; ++t)
-              results[static_cast<std::size_t>(base + t)] =
-                  run_trial(w, fr, un.cell, t);
-          }
-        });
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      auto& cell = result.cells[c];
-      const auto base = static_cast<std::int64_t>(c) * cfg.trials;
-      for (int t = 0; t < cfg.trials; ++t)
-        cell.agg.absorb(results[static_cast<std::size_t>(base + t)]);
-    }
-  }
+  const std::int64_t failed =
+      run_farm(specs, result.cells, cfg.threads, cfg.heartbeat,
+               cfg.artifacts_dir.empty() ? nullptr : &artifacts);
   result.artifacts = artifacts.take_sorted();
-  if (cfg.heartbeat != nullptr)
-    cfg.heartbeat->force(done.load(std::memory_order_relaxed), total,
-                         violations.load(std::memory_order_relaxed));
+  if (cfg.heartbeat != nullptr) {
+    const auto total = static_cast<std::int64_t>(n_cells) * cfg.trials;
+    cfg.heartbeat->force(total, total, failed);
+  }
 
   for (auto& cell : result.cells) {
     cell.pass = guarantee_holds(cell.guarantee, cell.agg);

@@ -18,25 +18,10 @@
 
 namespace cg {
 
-/// One named fault environment; fields mirror the TrialSpec fault knobs
-/// they are copied onto (per-trial sampling included).
-struct FaultScenario {
+/// One named fault environment: the per-trial fault knobs every cell of
+/// this scenario runs with (campaign_trial_spec copies them onto its spec).
+struct FaultScenario : FaultKnobs {
   std::string name;
-  double drop_prob = 0;       ///< i.i.d. loss
-  double burst_loss = 0;      ///< Gilbert-Elliott overall loss (0 = off)
-  Step burst_mean = 4;        ///< mean burst length in steps
-  Step jitter_max = 0;
-  int pre_failures = 0;
-  int online_failures = 0;
-  int restarts = 0;           ///< crash-and-rejoin nodes
-  int stragglers = 0;
-  Step straggler_factor = 4;
-  int partition_nodes = 0;    ///< transient bidirectional partition size
-  // Byzantine adversaries (sim/fault/byzantine.hpp); sampled per trial,
-  // disjoint from the crash/restart sets.
-  int byz_count = 0;
-  ByzMode byz_mode = ByzMode::kEquivocator;
-  bool byz_include_root = false;  ///< root equivocation: the strongest attack
 };
 
 /// Which predicate a campaign cell asserts over its aggregate.

@@ -1,14 +1,8 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <vector>
 
-#include <atomic>
-
-#include "common/check.hpp"
 #include "common/rng.hpp"
-#include "obs/telemetry.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/fault/burst_loss.hpp"
 #include "sim/fault/partition.hpp"
 #include "sim/fault/stragglers.hpp"
@@ -199,70 +193,9 @@ RunMetrics TrialWorkspace::run(const TrialSpec& spec, int trial,
                                TraceSink* trace) {
   trial_run_config_into(spec, trial, impl_->rcfg);
   impl_->rcfg.trace = trace;
-  // The zero-alloc reuse path exists only for the stepped engine; other
-  // engines run fresh (their trial cost is dominated by the run itself).
-  if (spec.exec.engine != EngineKind::kStepped)
-    return run_once(spec.algo, spec.acfg, impl_->rcfg, spec.exec);
-  return impl_->cache.run_once(spec.algo, spec.acfg, impl_->rcfg);
+  return impl_->cache.run_once(spec.algo, spec.acfg, impl_->rcfg, spec.exec);
 }
 
-// ---------------------------------------------------------------------------
-// run_trials
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Chunk size for the pool: small enough that ~8 chunks per participant
-// keep the tail balanced when trial durations vary, large enough to
-// amortize the claim (one relaxed fetch_add per chunk).
-std::int64_t farm_chunk(int trials, int threads) {
-  return std::clamp<std::int64_t>(trials / (8 * threads), 1, 64);
-}
-
-}  // namespace
-
-TrialAggregate run_trials(const TrialSpec& spec) {
-  CG_CHECK(spec.trials >= 1);
-  const int threads = std::min(resolve_threads(spec.threads), spec.trials);
-  TrialAggregate agg;
-  if (threads <= 1) {
-    TrialWorkspace ws;
-    std::int64_t failures = 0;
-    for (int t = 0; t < spec.trials; ++t) {
-      const RunMetrics m = ws.run(spec, t);
-      if (m.hit_max_steps) ++failures;
-      agg.absorb(m);
-      if (spec.heartbeat != nullptr)
-        spec.heartbeat->beat(t + 1, spec.trials, failures);
-    }
-    return agg;
-  }
-
-  // Workers write results into per-trial slots; the reduction below runs
-  // in trial order, so the aggregate is byte-identical to the serial path
-  // no matter how the pool interleaved the work.
-  std::vector<RunMetrics> results(static_cast<std::size_t>(spec.trials));
-  std::vector<TrialWorkspace> ws(static_cast<std::size_t>(threads));
-  std::atomic<std::int64_t> done{0};
-  std::atomic<std::int64_t> failed{0};
-  ThreadPool::global(threads).parallel_for(
-      spec.trials, farm_chunk(spec.trials, threads), threads,
-      [&](std::int64_t begin, std::int64_t end, int slot) {
-        auto& w = ws[static_cast<std::size_t>(slot)];
-        for (std::int64_t t = begin; t < end; ++t) {
-          const RunMetrics& m = results[static_cast<std::size_t>(t)] =
-              w.run(spec, static_cast<int>(t));
-          if (spec.heartbeat != nullptr) {
-            if (m.hit_max_steps)
-              failed.fetch_add(1, std::memory_order_relaxed);
-            spec.heartbeat->beat(
-                done.fetch_add(1, std::memory_order_relaxed) + 1, spec.trials,
-                failed.load(std::memory_order_relaxed));
-          }
-        }
-      });
-  for (const auto& m : results) agg.absorb(m);
-  return agg;
-}
+const RunConfig& TrialWorkspace::config() const { return impl_->rcfg; }
 
 }  // namespace cg

@@ -13,49 +13,21 @@
 
 namespace cg {
 
-struct TrialSpec {
-  Algo algo = Algo::kGos;
-  AlgoConfig acfg{};
-  NodeId n = 0;
-  NodeId root = 0;
-  LogP logp{};
-  RxPolicy rx = RxPolicy::kDrainAll;
-  Step jitter_max = 0;   ///< per-message extra delay 0..jitter_max steps
-  double drop_prob = 0;  ///< i.i.d. message loss probability
-  std::uint64_t seed = 1;
-  int trials = 1000;
-  /// Worker threads (trials are embarrassingly parallel); <= 0 = auto
-  /// (hardware_concurrency).  The aggregate is byte-identical for every
-  /// value - see run_trials.
-  int threads = 1;
-  /// Execution engine carrying each trial.  Every engine produces
-  /// identical RunMetrics, so this only changes the wall-clock profile;
-  /// non-stepped engines bypass the EngineCache reuse path (they
-  /// construct fresh per trial).
-  ExecConfig exec{};
-  /// Optional progress channel (obs/telemetry.hpp): run_trials beats it
-  /// after every finished trial (the beat itself rate-limits output).
-  /// Not owned; never attached to individual runs.
-  Heartbeat* heartbeat = nullptr;
-
-  // Failure sampling per trial (fresh schedule each trial).
+/// The per-trial fault knobs a campaign scenario varies, sampled per trial
+/// from one failure RNG stream (see docs/FAULTS.md; all off by default).
+/// TrialSpec and FaultScenario both derive from it, so a scenario lands on
+/// a spec with one base-struct assignment.
+struct FaultKnobs {
+  double drop_prob = 0;       ///< i.i.d. message loss probability
+  double burst_loss = 0;      ///< overall Gilbert-Elliott loss rate (0 = off)
+  Step burst_mean = 4;        ///< mean burst length in steps (>= 1)
+  Step jitter_max = 0;        ///< per-message extra delay 0..jitter_max steps
   int pre_failures = 0;
   int online_failures = 0;
-  Step online_horizon = 0;  ///< window for online-failure times
-  bool root_can_fail = false;
-
-  // Fault injection, sampled per trial from the same failure RNG stream
-  // (see docs/FAULTS.md).  All off by default.
-  double burst_loss = 0;     ///< overall Gilbert-Elliott loss rate (0 = off)
-  Step burst_mean = 4;       ///< mean burst length in steps (>= 1)
-  int restarts = 0;          ///< nodes that crash and later rejoin
-  Step restart_outage = 0;   ///< steps down; 0 = auto (~2 delivery delays)
-  int stragglers = 0;        ///< nodes with a slowed send path
-  Step straggler_factor = 4; ///< delay multiplier for straggler sends
-  int partition_nodes = 0;   ///< size of a transient bidirectional partition
-  Step partition_from = 0;   ///< partition window [from, until); until<=from
-  Step partition_until = 0;  ///<   with partition_nodes>0 = auto window
-  Step max_steps = 0;        ///< RunConfig::max_steps override (0 = auto)
+  int restarts = 0;           ///< nodes that crash and later rejoin
+  int stragglers = 0;         ///< nodes with a slowed send path
+  Step straggler_factor = 4;  ///< delay multiplier for straggler sends
+  int partition_nodes = 0;    ///< size of a transient bidirectional partition
 
   // Byzantine adversaries (sim/fault/byzantine.hpp), sampled per trial
   // from the same failure RNG stream AFTER every crash-era draw (so adding
@@ -66,6 +38,37 @@ struct TrialSpec {
   ByzMode byz_mode = ByzMode::kEquivocator;
   bool byz_include_root = false;  ///< force the root into the Byzantine set
                                   ///< (the canonical equivocation attack)
+};
+
+struct TrialSpec : FaultKnobs {
+  Algo algo = Algo::kGos;
+  AlgoConfig acfg{};
+  NodeId n = 0;
+  NodeId root = 0;
+  LogP logp{};
+  RxPolicy rx = RxPolicy::kDrainAll;
+  std::uint64_t seed = 1;
+  int trials = 1000;
+  /// Worker threads (trials are embarrassingly parallel); <= 0 = auto
+  /// (hardware_concurrency).  The aggregate is byte-identical for every
+  /// value - see run_trials.
+  int threads = 1;
+  /// Execution engine carrying each trial.  Every engine produces
+  /// identical RunMetrics, so this only changes the wall-clock profile;
+  /// each farm worker's EngineCache reuses the named engine across trials.
+  ExecConfig exec{};
+  /// Optional progress channel (obs/telemetry.hpp): run_trials beats it
+  /// after every finished trial (the beat itself rate-limits output).
+  /// Not owned; never attached to individual runs.
+  Heartbeat* heartbeat = nullptr;
+
+  // Failure-sampling windows (the knobs themselves are in FaultKnobs).
+  Step online_horizon = 0;   ///< window for online-failure times
+  bool root_can_fail = false;
+  Step restart_outage = 0;   ///< steps down; 0 = auto (~2 delivery delays)
+  Step partition_from = 0;   ///< partition window [from, until); until<=from
+  Step partition_until = 0;  ///<   with partition_nodes>0 = auto window
+  Step max_steps = 0;        ///< RunConfig::max_steps override (0 = auto)
 };
 
 struct TrialAggregate {
@@ -144,13 +147,19 @@ class TrialWorkspace {
   /// runner's flight recorder hooks in here.  `trace` may be null.
   RunMetrics run(const TrialSpec& spec, int trial, TraceSink* trace);
 
+  /// The RunConfig the last run() executed (seed and fault schedule).
+  const RunConfig& config() const;
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
 /// Run `spec.trials` independent trials (seeded from spec.seed) on the
-/// process-wide ThreadPool (spec.threads participants; <= 0 = auto).
+/// process-wide ThreadPool (spec.threads participants; <= 0 = auto).  This
+/// is the one-cell campaign: the trial farm run_campaign uses, over one
+/// cell asserting Guarantee::kNone (so the heartbeat's failures are the
+/// truncated trials).  Defined in campaign.cpp next to that farm.
 ///
 /// Determinism contract: per-trial results are written into a slot indexed
 /// by trial number and reduced in trial order, so the aggregate - samples,

@@ -2,8 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
+#include <utility>
 
 #include "baselines/bfb.hpp"
 #include "baselines/big.hpp"
@@ -34,6 +34,31 @@ const char* algo_name(Algo a) {
     case Algo::kSbrb: return "SBRB";
   }
   return "?";
+}
+
+namespace {
+
+constexpr std::pair<std::string_view, Algo> kAlgoNames[] = {
+    {"gos", Algo::kGos},   {"ocg", Algo::kOcg},   {"ccg", Algo::kCcg},
+    {"fcg", Algo::kFcg},   {"chain", Algo::kOcgChain},
+    {"big", Algo::kBig},   {"bfb", Algo::kBfb},   {"opt", Algo::kOpt},
+    {"sbrb", Algo::kSbrb},
+};
+
+}  // namespace
+
+bool algo_from_name(std::string_view name, Algo& out) {
+  for (const auto& [spelling, algo] : kAlgoNames) {
+    if (name == spelling) {
+      out = algo;
+      return true;
+    }
+  }
+  return false;
+}
+
+const char* algo_names_list() {
+  return "gos|ocg|ccg|fcg|chain|big|bfb|opt|sbrb";
 }
 
 const char* engine_name(EngineKind k) {
@@ -71,8 +96,7 @@ ExecConfig exec_from_flags(const Flags& flags) {
 namespace {
 
 // Build Node::Params for `algo` and hand <Node, params> to the runner
-// functor (the one place the algo -> node-type mapping lives; shared by
-// run_once and EngineCache).
+// functor (the one place the algo -> node-type mapping lives).
 template <class Runner>
 RunMetrics dispatch_algo(Runner&& r, Algo algo, const AlgoConfig& acfg,
                          const RunConfig& rcfg) {
@@ -136,27 +160,6 @@ RunMetrics dispatch_algo(Runner&& r, Algo algo, const AlgoConfig& acfg,
   return {};
 }
 
-struct FreshEngineRunner {
-  const RunConfig& rcfg;
-  const ExecConfig& exec;
-
-  template <class Node>
-  RunMetrics run(typename Node::Params params) const {
-    switch (exec.engine) {
-      case EngineKind::kStepped: {
-        Engine<Node> eng(rcfg, std::move(params));
-        return eng.run();
-      }
-      case EngineKind::kSharded: {
-        ShardedEngine<Node> eng(rcfg, std::move(params), exec.threads);
-        return eng.run();
-      }
-    }
-    CG_CHECK_MSG(false, "unknown engine");
-    return {};
-  }
-};
-
 void check_config(const RunConfig& rcfg) {
   const std::string cfg_err = config_error(rcfg);
   CG_CHECK_MSG(cfg_err.empty(), cfg_err.c_str());
@@ -166,12 +169,7 @@ void check_config(const RunConfig& rcfg) {
 
 RunMetrics run_once(Algo algo, const AlgoConfig& acfg, const RunConfig& rcfg,
                     const ExecConfig& exec) {
-  check_config(rcfg);
-  return dispatch_algo(FreshEngineRunner{rcfg, exec}, algo, acfg, rcfg);
-}
-
-RunMetrics run_once(Algo algo, const AlgoConfig& acfg, const RunConfig& rcfg) {
-  return run_once(algo, acfg, rcfg, ExecConfig{});
+  return EngineCache{}.run_once(algo, acfg, rcfg, exec);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,29 +178,39 @@ RunMetrics run_once(Algo algo, const AlgoConfig& acfg, const RunConfig& rcfg) {
 
 namespace {
 
-template <class Node>
+template <class Eng>
 struct EngineSlot final : EngineCache::SlotBase {
-  // optional: Engine has no default construction; emplaced on first use.
-  std::optional<Engine<Node>> eng;
+  template <class... Args>
+  explicit EngineSlot(int shards_, Args&&... args)
+      : shards(shards_), eng(std::forward<Args>(args)...) {}
+  int shards;  ///< the shard count eng was built with (0 = stepped)
+  Eng eng;
 };
 
 struct CachedEngineRunner {
   std::unique_ptr<EngineCache::SlotBase>& slot;
   const RunConfig& rcfg;
+  const ExecConfig& exec;
 
   template <class Node>
-  RunMetrics run(typename Node::Params params) const {
-    auto* s = dynamic_cast<EngineSlot<Node>*>(slot.get());
-    if (s == nullptr) {  // first use, or the cached node type changed
-      auto fresh = std::make_unique<EngineSlot<Node>>();
-      s = fresh.get();
-      slot = std::move(fresh);
+  RunMetrics run(const typename Node::Params& params) const {
+    if (exec.engine == EngineKind::kSharded)
+      return reuse<ShardedEngine<Node>>(exec.threads, params, exec.threads);
+    return reuse<Engine<Node>>(0, params);
+  }
+
+  // Re-enter the cached engine when it is an `Eng` with `shards` shards;
+  // otherwise drop it first (one engine alive at a time) and build anew.
+  template <class Eng, class... Extra>
+  RunMetrics reuse(int shards, const typename Eng::Params& params,
+                   Extra... extra) const {
+    auto* s = dynamic_cast<EngineSlot<Eng>*>(slot.get());
+    if (s == nullptr || s->shards != shards) {
+      slot.reset();
+      slot = std::make_unique<EngineSlot<Eng>>(shards, rcfg, params, extra...);
+      s = static_cast<EngineSlot<Eng>*>(slot.get());
     }
-    if (!s->eng) {
-      s->eng.emplace(rcfg, std::move(params));
-      return s->eng->run();
-    }
-    return s->eng->run(rcfg, params);
+    return s->eng.run(rcfg, params);
   }
 };
 
@@ -214,9 +222,11 @@ EngineCache::EngineCache(EngineCache&&) noexcept = default;
 EngineCache& EngineCache::operator=(EngineCache&&) noexcept = default;
 
 RunMetrics EngineCache::run_once(Algo algo, const AlgoConfig& acfg,
-                                 const RunConfig& rcfg) {
+                                 const RunConfig& rcfg,
+                                 const ExecConfig& exec) {
   check_config(rcfg);
-  return dispatch_algo(CachedEngineRunner{slot_, rcfg}, algo, acfg, rcfg);
+  return dispatch_algo(CachedEngineRunner{slot_, rcfg, exec}, algo, acfg,
+                       rcfg);
 }
 
 }  // namespace cg

@@ -27,6 +27,14 @@ enum class Algo : std::uint8_t {
 
 const char* algo_name(Algo a);
 
+/// Parse a command-line algorithm spelling (gos, ocg, ccg, fcg, chain, big,
+/// bfb, opt, sbrb) into `out`.  Returns false (leaving `out` untouched) on
+/// an unknown name, so every --algo flag fails the same way.
+bool algo_from_name(std::string_view name, Algo& out);
+
+/// The accepted --algo spellings, for usage/error text.
+const char* algo_names_list();
+
 /// Per-algorithm knobs (fields are used only by the relevant algorithm).
 struct AlgoConfig {
   Step T = 0;              ///< gossip time (GOS/OCG/CCG/FCG/OCG-CHAIN)
@@ -45,11 +53,6 @@ struct AlgoConfig {
   double sbrb_eps = 1e-3;
   double sbrb_byz_frac = 0.15;
 };
-
-/// Run one trial; RunConfig supplies N, root, LogP, seed, and failures.
-/// Aborts (CG_CHECK) if cg::config_error(rcfg) reports a problem - callers
-/// that take user input should surface config_error() themselves first.
-RunMetrics run_once(Algo algo, const AlgoConfig& acfg, const RunConfig& rcfg);
 
 /// Which execution engine carries the run.  Both share the simulation
 /// core (src/sim/core/) and produce identical metrics for the same
@@ -81,18 +84,24 @@ struct ExecConfig {
 /// set) and, through Flags::fail, on --shards below 1.
 ExecConfig exec_from_flags(const Flags& flags);
 
-/// Run one trial on an explicitly chosen engine.
+/// Run one trial on a fresh engine (stepped unless `exec` says otherwise);
+/// RunConfig supplies N, root, LogP, seed, and failures.  Aborts
+/// (CG_CHECK) if cg::config_error(rcfg) reports a problem - callers that
+/// take user input should surface config_error() themselves first.
 RunMetrics run_once(Algo algo, const AlgoConfig& acfg, const RunConfig& rcfg,
-                    const ExecConfig& exec);
+                    const ExecConfig& exec = {});
 
-/// Reusable stepped-engine storage for bulk trials.
+/// Reusable engine storage for bulk trials.
 ///
-/// run_once constructs a fresh Engine per call - node slab, RNG streams,
-/// calendar slots, inboxes - which dominates the cost of short trials.
-/// An EngineCache keeps the last engine alive (one per node type; switching
-/// algorithms rebuilds it) and re-enters it through Engine::run(cfg,
-/// params), so steady-state trials reuse every allocation.  Produces
-/// exactly the metrics run_once would for the same inputs.
+/// Building an engine - node slab, RNG streams, calendar slots, inboxes -
+/// dominates the cost of short trials.  An EngineCache keeps the last
+/// engine alive and re-enters it through its run(cfg, params), so
+/// steady-state trials reuse its slabs (stepped trials of fault-free specs
+/// allocate nothing at all - see TrialWorkspace).  It holds whichever engine
+/// the ExecConfig names and rebuilds it when the node type (algorithm),
+/// the engine kind or the sharded engine's shard count changes.  Produces
+/// exactly the metrics a fresh engine would; the free run_once is this
+/// with a temporary cache.
 ///
 /// One instance per worker thread; a single instance is not thread-safe.
 class EngineCache {
@@ -102,12 +111,12 @@ class EngineCache {
   EngineCache(EngineCache&&) noexcept;
   EngineCache& operator=(EngineCache&&) noexcept;
 
-  /// Stepped-engine equivalent of the free run_once (same CG_CHECK
-  /// config-validation behavior).
+  /// Same contract as the free run_once (including the CG_CHECK
+  /// config validation).
   RunMetrics run_once(Algo algo, const AlgoConfig& acfg,
-                      const RunConfig& rcfg);
+                      const RunConfig& rcfg, const ExecConfig& exec = {});
 
-  /// Type-erased holder for the cached Engine<Node> (detail).
+  /// Type-erased holder for the cached engine (detail).
   struct SlotBase {
     virtual ~SlotBase() = default;
   };

@@ -141,6 +141,20 @@ class ShardedEngine {
 
   RunMetrics run();
 
+  /// Run with a fresh config/params on this engine's shard count, reusing
+  /// its node slab and RNG streams - the same trial-farm re-entry
+  /// Engine::run(cfg, params) offers.  run()
+  /// resets every per-run field, so this produces exactly the metrics a
+  /// fresh ShardedEngine would.
+  RunMetrics run(const RunConfig& cfg, const Params& params) {
+    cfg_ = cfg;  // copy-assign: vector members reuse capacity
+    params_ = params;
+    CG_CHECK(cfg_.n >= 1);
+    CG_CHECK(cfg_.root >= 0 && cfg_.root < cfg_.n);
+    cfg_.logp.validate();
+    return run();
+  }
+
  private:
   struct Delivery {
     Step sent_at;  ///< emission step; (sent_at, msg.src) is a unique key

@@ -457,6 +457,45 @@ TEST(CampaignForensics, ForcedFailureDumpsReplayableArtifact) {
   EXPECT_EQ(obs::to_json(bare.cells[0].agg), obs::to_json(result.cells[0].agg));
 }
 
+// Root equivocation splits CCG's delivered payload in every trial, so the
+// per-cell cap decides which violating trials are kept: always the lowest
+// trial numbers, whatever order the workers finished them in.
+TEST(CampaignForensics, ArtifactSetIndependentOfThreads) {
+  FaultScenario sc;
+  sc.name = "root-equiv";
+  sc.byz_count = 1;
+  sc.byz_include_root = true;
+  CampaignEntry entry;
+  entry.label = "CCG";
+  entry.algo = Algo::kCcg;
+  entry.acfg.T = 24;
+  entry.guarantee = Guarantee::kConsistent;
+  for (const int threads : {1, 2, 3, 4}) {
+    CampaignConfig cfg;
+    cfg.n = 512;
+    cfg.logp = LogP::piz_daint();
+    cfg.seed = 7;
+    cfg.trials = 32;
+    cfg.threads = threads;
+    cfg.max_artifacts_per_cell = 3;
+    cfg.artifacts_dir = tmp_path("artifacts_t" + std::to_string(threads));
+    std::error_code ignored;
+    std::filesystem::remove_all(cfg.artifacts_dir, ignored);
+    std::filesystem::create_directories(cfg.artifacts_dir, ignored);
+
+    const CampaignResult result = run_campaign(cfg, {sc}, {entry});
+    ASSERT_EQ(result.artifacts.size(), 3u) << "threads " << threads;
+    for (int t = 0; t < 3; ++t)
+      EXPECT_EQ(result.artifacts[static_cast<std::size_t>(t)].trial, t)
+          << "threads " << threads;
+    EXPECT_EQ(std::distance(
+                  std::filesystem::directory_iterator(cfg.artifacts_dir),
+                  std::filesystem::directory_iterator{}),
+              3)
+        << "threads " << threads;
+  }
+}
+
 TEST(CampaignForensics, TrialViolatesMatchesPredicates) {
   RunMetrics m;
   m.hit_max_steps = true;

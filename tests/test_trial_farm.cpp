@@ -252,14 +252,28 @@ TEST(TrialFarm, CampaignParityAcrossThreadCounts) {
 
 // --- Engine reuse parity ---------------------------------------------------
 
+// Every engine the EngineCache can hold, in an order that switches the
+// engine kind and then the shard count.
+const ExecConfig kExecs[] = {
+    {EngineKind::kStepped, 1},
+    {EngineKind::kSharded, 1},
+    {EngineKind::kSharded, 3},
+};
+
 TEST(TrialFarm, WorkspaceMatchesFreshEngine) {
-  const TrialSpec spec = faulty_spec();
-  TrialWorkspace ws;
-  for (int t = 0; t < 16; ++t) {
-    const RunConfig rcfg = trial_run_config(spec, t);
-    const RunMetrics fresh = run_once(spec.algo, spec.acfg, rcfg);
-    const RunMetrics reused = ws.run(spec, t);
-    EXPECT_EQ(obs::to_json(fresh), obs::to_json(reused)) << "trial " << t;
+  TrialSpec spec = faulty_spec();
+  TrialWorkspace ws;  // one workspace across every engine switch
+  for (const ExecConfig& exec : kExecs) {
+    spec.exec = exec;
+    for (int t = 0; t < 16; ++t) {
+      const RunConfig rcfg = trial_run_config(spec, t);
+      const RunMetrics fresh = run_once(spec.algo, spec.acfg, rcfg, exec);
+      const RunMetrics reused = ws.run(spec, t);
+      EXPECT_EQ(obs::to_json(fresh), obs::to_json(reused))
+          << engine_name(exec.engine) << "/" << exec.threads << " trial "
+          << t;
+      EXPECT_EQ(ws.config().seed, rcfg.seed);
+    }
   }
 }
 
@@ -269,14 +283,46 @@ TEST(TrialFarm, WorkspaceSurvivesAlgoSwitch) {
   fcg.algo = Algo::kFcg;
   fcg.acfg.fcg_f = 1;
   TrialWorkspace ws;
-  const TrialSpec* seq[] = {&ccg, &fcg, &ccg, &fcg, &ccg};
+  TrialSpec* seq[] = {&ccg, &fcg, &ccg, &fcg, &ccg};
   int t = 0;
-  for (const TrialSpec* spec : seq) {
-    const RunConfig rcfg = trial_run_config(*spec, t);
-    const RunMetrics fresh = run_once(spec->algo, spec->acfg, rcfg);
-    const RunMetrics reused = ws.run(*spec, t);
-    EXPECT_EQ(obs::to_json(fresh), obs::to_json(reused)) << "leg " << t;
-    ++t;
+  // Algorithm switches on one engine, then (across the outer loop) engine
+  // and shard-count switches with the node type held.
+  for (const ExecConfig& exec : kExecs) {
+    for (TrialSpec* spec : seq) {
+      spec->exec = exec;
+      const RunConfig rcfg = trial_run_config(*spec, t);
+      const RunMetrics fresh = run_once(spec->algo, spec->acfg, rcfg, exec);
+      const RunMetrics reused = ws.run(*spec, t);
+      EXPECT_EQ(obs::to_json(fresh), obs::to_json(reused))
+          << engine_name(exec.engine) << "/" << exec.threads << " leg " << t;
+      ++t;
+    }
+  }
+}
+
+// --- run_trials is the one-cell campaign -----------------------------------
+
+TEST(TrialFarm, RunTrialsIsOneCellCampaign) {
+  CampaignConfig cfg;
+  cfg.n = 96;
+  cfg.logp = LogP::unit();
+  cfg.seed = 1234;
+  cfg.trials = 24;
+  FaultScenario sc;
+  sc.name = "faulty";
+  static_cast<FaultKnobs&>(sc) = faulty_spec();
+  CampaignEntry entry;
+  entry.label = "CCG";
+  entry.algo = Algo::kCcg;
+  entry.acfg.T = 16;
+  entry.guarantee = Guarantee::kNone;
+  for (const int threads : {1, 4}) {
+    cfg.threads = threads;
+    const CampaignResult r = run_campaign(cfg, {sc}, {entry});
+    ASSERT_EQ(r.cells.size(), 1u);
+    const TrialSpec spec = campaign_trial_spec(cfg, sc, entry);
+    EXPECT_EQ(obs::to_json(run_trials(spec)), obs::to_json(r.cells[0].agg))
+        << "threads " << threads;
   }
 }
 
