@@ -114,7 +114,7 @@ void BM_EngineSbrb(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSbrb)->Arg(1024)->Arg(4096);
 
-// SBRB on the window-sharded SoA engine: nodes with nothing queued sleep
+// SBRB on the window-sharded engine: nodes with nothing queued sleep
 // until the deadline (the next_tick hook), so the tick sweep visits only
 // awake nodes - what makes the 65536-node runs feasible (docs/PERF.md §7).
 void BM_EngineSbrbSharded(benchmark::State& state) {
@@ -136,7 +136,7 @@ void BM_EngineSbrbSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSbrbSharded)->Args({4096, 1})->Args({4096, 8});
 
-// The window-sharded SoA engine, same CCG workload, at bench scale and at
+// The window-sharded engine, same CCG workload, at bench scale and at
 // the scales it exists for ({65536, 1M} nodes x {1, 8} shards).  The big
 // arguments run ONE iteration per repetition by design - a 1M-node run is
 // seconds, not microseconds; use --benchmark_min_time=1x when eyeballing.

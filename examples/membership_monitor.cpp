@@ -5,7 +5,9 @@
 // keep crashing.  Each epoch announcement uses FCG (all-or-nothing
 // delivery), messages carry Claim-1 broadcast stamps, and every surviving
 // node's view is checked for consistency after each round: either a node
-// has the current epoch, or it is itself dead - never a torn view.
+// has the current epoch, or it is itself dead - never a torn view.  At the
+// end the last epoch is replayed to a surviving member; the program exits 1
+// if its duplicate filter accepts the replay.
 //
 //   ./membership_monitor [--n=256] [--rounds=6] [--seed=11]
 #include <cstdio>
@@ -90,9 +92,20 @@ int main(int argc, char** argv) {
                 stale, stale == 0 ? " [consistent]" : " [INCONSISTENT!]");
   }
 
-  std::printf("\nreplayed announcement is filtered: node 1 re-offered epoch "
+  // Claim-1 duplicate filter: re-offer the last epoch to the lowest-numbered
+  // member still alive, which accepted it in the last round.  Accepting the
+  // replay would be a filter bug.
+  NodeId probe = 1;
+  while (probe < n && !alive[static_cast<std::size_t>(probe)]) ++probe;
+  if (probe == n) {
+    std::printf("\nno member is still alive: replay demo skipped\n");
+    return 0;
+  }
+  const bool accepted =
+      filters[static_cast<std::size_t>(probe)].accept({0, manager.issued()});
+  std::printf("\nreplayed announcement is filtered: node %d re-offered epoch "
               "%llu -> accepted=%s\n",
-              static_cast<unsigned long long>(manager.issued()),
-              filters[1].accept({0, manager.issued()}) ? "yes (BUG)" : "no");
-  return 0;
+              probe, static_cast<unsigned long long>(manager.issued()),
+              accepted ? "yes (BUG)" : "no");
+  return accepted ? 1 : 0;
 }

@@ -37,9 +37,9 @@
 //
 // Memory plan: ALL sublayer state lives behind one pointer, allocated only
 // when the sublayer is enabled.  A disabled link is pointer-sized, which is
-// what keeps CcgNode/FcgNode dense enough for the million-node SoA slab
-// (docs/PERF.md §6) - the default configuration embeds ~150 bytes of empty
-// vectors per node otherwise.
+// what keeps CcgNode/FcgNode dense enough for the million-node NodeStore
+// slab (docs/PERF.md §6) - the default configuration embeds ~150 bytes of
+// empty vectors per node otherwise.
 #pragma once
 
 #include <algorithm>

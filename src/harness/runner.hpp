@@ -59,7 +59,7 @@ struct AlgoConfig {
 /// RunConfig; they differ in scheduling strategy and wall-clock profile.
 enum class EngineKind : std::uint8_t {
   kStepped,  ///< serial step loop (sim/engine.hpp) - the default and oracle
-  kSharded,  ///< window-sharded SoA engine (sim/sharded_engine.hpp)
+  kSharded,  ///< window-sharded engine (sim/sharded_engine.hpp)
 };
 
 const char* engine_name(EngineKind k);

@@ -199,6 +199,31 @@ class ShardedEngine {
     std::int64_t window_stalls = 0;
     double prof_a_s = 0;
     double prof_b_s = 0;
+
+    /// Reset for a new run on block [block_lo, block_hi) with a
+    /// `cal_slots`-slot calendar.  Every field returns to its default but
+    /// the buffers, which keep their capacity (the trial-farm steady
+    /// state): calendar slots survive when the delay structure is
+    /// unchanged, as on the stepped engine.
+    void reset(NodeId block_lo, NodeId block_hi, std::size_t cal_slots) {
+      ShardState fresh;
+      fresh.calendar = std::move(calendar);
+      fresh.outbox = std::move(outbox);
+      fresh.inbox = std::move(inbox);
+      fresh.revives = std::move(revives);
+      fresh.trace = std::move(trace);
+      *this = std::move(fresh);
+      lo = block_lo;
+      hi = block_hi;
+      if (calendar.size() == cal_slots) {
+        for (auto& slot : calendar) slot.clear();
+      } else {
+        calendar.assign(cal_slots, {});
+      }
+      for (auto& ob : outbox) ob.clear();
+      revives.clear();
+      trace.clear();
+    }
   };
 
   int owner_of(NodeId i) const {
@@ -505,12 +530,12 @@ RunMetrics ShardedEngine<Node>::run() {
   crash_at_.assign(n, kNever);
 
   const auto cal_slots = static_cast<std::size_t>(wire_.max_delay()) + 1;
-  shards_.assign(static_cast<std::size_t>(nshards_), ShardState{});
+  shards_.resize(static_cast<std::size_t>(nshards_));  // reruns keep them
   for (int w = 0; w < nshards_; ++w) {
     auto& st = shards_[static_cast<std::size_t>(w)];
-    st.lo = std::min(static_cast<NodeId>(w) * block_, cfg_.n);
-    st.hi = std::min((static_cast<NodeId>(w) + 1) * block_, cfg_.n);
-    st.calendar.assign(cal_slots, {});
+    st.reset(std::min(static_cast<NodeId>(w) * block_, cfg_.n),
+             std::min((static_cast<NodeId>(w) + 1) * block_, cfg_.n),
+             cal_slots);
     if (cfg_.rx == RxPolicy::kOnePerStep)
       st.inbox.reset(static_cast<std::size_t>(st.hi - st.lo));
   }

@@ -5,7 +5,9 @@
 // online failures, and both receive policies - for every corrected-gossip
 // protocol, at any shard count.  Shard counts include odd ones (3, 5, 7),
 // whose 64-node-aligned blocks leave trailing shards partly or wholly
-// empty on small runs.
+// empty on small runs.  The randomized fault-stack sweep over every family
+// and shard count is test_differential.cpp; this file keeps the fixed
+// matrices, the pinned model digests and the sleep contract.
 //
 // The sleep contract (next_tick, sim/core/wake_set.hpp) is checked beyond
 // SBRB with a tests-only protocol, NapNode, that sleeps to several distinct
@@ -16,15 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <random>
-#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "differential.hpp"
 #include "harness/runner.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_sinks.hpp"
@@ -36,40 +36,16 @@
 namespace cg {
 namespace {
 
-void expect_same(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.n_total, b.n_total);
-  EXPECT_EQ(a.n_active, b.n_active);
-  EXPECT_EQ(a.n_colored, b.n_colored);
-  EXPECT_EQ(a.n_delivered, b.n_delivered);
-  EXPECT_EQ(a.msgs_total, b.msgs_total);
-  EXPECT_EQ(a.msgs_gossip, b.msgs_gossip);
-  EXPECT_EQ(a.msgs_correction, b.msgs_correction);
-  EXPECT_EQ(a.msgs_sos, b.msgs_sos);
-  EXPECT_EQ(a.msgs_tree, b.msgs_tree);
-  EXPECT_EQ(a.msgs_retrans, b.msgs_retrans);
-  EXPECT_EQ(a.msgs_dropped, b.msgs_dropped);
-  EXPECT_EQ(a.t_last_colored, b.t_last_colored);
-  EXPECT_EQ(a.t_last_colored_partial, b.t_last_colored_partial);
-  EXPECT_EQ(a.t_last_delivered, b.t_last_delivered);
-  EXPECT_EQ(a.t_complete, b.t_complete);
-  EXPECT_EQ(a.t_root_complete, b.t_root_complete);
-  EXPECT_EQ(a.all_active_colored, b.all_active_colored);
-  EXPECT_EQ(a.all_active_delivered, b.all_active_delivered);
-  EXPECT_EQ(a.sos_triggered, b.sos_triggered);
-  EXPECT_EQ(a.hit_max_steps, b.hit_max_steps);
-  EXPECT_EQ(a.t_end, b.t_end);
-}
-
 // Runs `cfg` on the stepped oracle and on the sharded engine with `shards`
-// shards, and checks they agree; returns the oracle's metrics.
+// shards, and checks their serialized metrics agree; returns the oracle's.
 RunMetrics expect_engines_agree(Algo algo, const AlgoConfig& acfg,
                                 const RunConfig& cfg, int shards) {
   const RunMetrics serial =
       run_once(algo, acfg, cfg, {EngineKind::kStepped, 1});
-  SCOPED_TRACE(std::string(algo_name(algo)) + " on " +
-               std::to_string(shards) + " shards");
-  expect_same(serial,
-              run_once(algo, acfg, cfg, {EngineKind::kSharded, shards}));
+  const RunMetrics sharded =
+      run_once(algo, acfg, cfg, {EngineKind::kSharded, shards});
+  EXPECT_EQ(obs::to_json(serial), obs::to_json(sharded))
+      << algo_name(algo) << " on " << shards << " shards";
   return serial;
 }
 
@@ -173,26 +149,17 @@ INSTANTIATE_TEST_SUITE_P(
 // of a run under every fault model at once - including kLost and kRestart
 // events - is BYTE-IDENTICAL across engines and shard counts.
 TEST(EngineParity, FaultTraceJsonlIsByteIdenticalAcrossEngines) {
-  AlgoConfig acfg = algo_cfg(Algo::kCcg);
-  acfg.reliable.enabled = true;
-  const RunConfig base = faulty_cfg(19, RxPolicy::kOnePerStep);
+  DiffCase c{Algo::kCcg, algo_cfg(Algo::kCcg),
+             faulty_cfg(19, RxPolicy::kOnePerStep)};
+  c.acfg.reliable.enabled = true;
 
-  auto canonical_jsonl = [&](EngineKind kind, int threads) {
-    VectorTrace trace;
-    RunConfig cfg = base;
-    cfg.trace = &trace;
-    run_once(Algo::kCcg, acfg, cfg, {kind, threads});
-    std::vector<TraceEvent> events = trace.events();
-    obs::canonical_sort(events);
-    return obs::to_jsonl(events);
-  };
-
-  const std::string serial = canonical_jsonl(EngineKind::kStepped, 1);
+  const std::string serial = observe(c, {EngineKind::kStepped, 1}).trace();
   EXPECT_FALSE(serial.empty());
   EXPECT_NE(serial.find("\"lost\""), std::string::npos);
   EXPECT_NE(serial.find("\"restart\""), std::string::npos);
   for (const int shards : {1, 2, 3, 5})
-    EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, shards)) << shards;
+    EXPECT_EQ(serial, observe(c, {EngineKind::kSharded, shards}).trace())
+        << shards;
 }
 
 // Node-level agreement: with record_node_detail every per-node coloring /
@@ -256,23 +223,14 @@ TEST(EngineParity, OcgShardedTraceMatchesSerialMultiset) {
 // shard counts.  (Raw emission order differs - per-shard buffers flushed
 // per window - which is exactly what obs::canonical_sort factors out.)
 TEST(EngineParity, CanonicalJsonlIsByteIdenticalAcrossEngines) {
-  const AlgoConfig acfg = algo_cfg(Algo::kFcg);
-  const RunConfig base = harsh_cfg(17, RxPolicy::kOnePerStep);
+  const DiffCase c{Algo::kFcg, algo_cfg(Algo::kFcg),
+                   harsh_cfg(17, RxPolicy::kOnePerStep)};
 
-  auto canonical_jsonl = [&](EngineKind kind, int threads) {
-    VectorTrace trace;
-    RunConfig cfg = base;
-    cfg.trace = &trace;
-    run_once(Algo::kFcg, acfg, cfg, {kind, threads});
-    std::vector<TraceEvent> events = trace.events();
-    obs::canonical_sort(events);
-    return obs::to_jsonl(events);
-  };
-
-  const std::string serial = canonical_jsonl(EngineKind::kStepped, 1);
+  const std::string serial = observe(c, {EngineKind::kStepped, 1}).trace();
   EXPECT_FALSE(serial.empty());
   for (const int shards : {2, 3, 5})
-    EXPECT_EQ(serial, canonical_jsonl(EngineKind::kSharded, shards)) << shards;
+    EXPECT_EQ(serial, observe(c, {EngineKind::kSharded, shards}).trace())
+        << shards;
 }
 
 // The engines' self-profiles must agree on the callback counts (they run
@@ -321,92 +279,6 @@ TEST(EngineParity, ProfileCallbackCountsMatchAcrossEngines) {
     EXPECT_EQ(p->events_scheduled, serial.events_scheduled);
     EXPECT_EQ(p->events_fired, serial.events_fired);
     EXPECT_GE(p->queue_max_bucket, 1);
-  }
-}
-
-// ~100-seed randomized property test: a fresh fault stack per seed (jitter,
-// i.i.d. + burst loss, pre/online failures, crash-restarts, stragglers,
-// partitions, reliable sublayer, both rx policies, all four protocols), with
-// the canonically sorted JSONL trace required to be BYTE-IDENTICAL between
-// the stepped engine and the sharded engine on one shard (plus 2 shards on
-// every 5th seed and 3 and 5 shards on every 10th).  Any batching or
-// calendar-ordering slip shows up as a trace diff.
-TEST(EngineParity, RandomizedFaultStacksTraceByteParity) {
-  constexpr int kSeeds = 100;
-  for (int seed = 1; seed <= kSeeds; ++seed) {
-    std::mt19937_64 gen(0x9E3779B97F4A7C15ull * static_cast<unsigned>(seed));
-    auto pick = [&](int lo, int hi) {  // inclusive
-      return lo + static_cast<int>(gen() % static_cast<unsigned>(hi - lo + 1));
-    };
-
-    RunConfig cfg;
-    cfg.n = pick(48, 128);
-    cfg.logp = (pick(0, 1) != 0) ? LogP::piz_daint() : LogP::unit();
-    cfg.seed = static_cast<std::uint64_t>(seed) * 7919u;
-    cfg.rx = (pick(0, 1) != 0) ? RxPolicy::kOnePerStep : RxPolicy::kDrainAll;
-    cfg.jitter_max = pick(0, 2);
-    cfg.drop_prob = 0.01 * pick(0, 3);
-    if (pick(0, 1) != 0)
-      cfg.burst = BurstLoss::from_rate(0.01 * pick(2, 6), pick(2, 5));
-    // config_error() rejects a node failing twice (and duplicate straggler /
-    // partition listings), so draw distinct nodes per constraint set.
-    auto fresh_node = [&](std::set<NodeId>& used) {
-      for (;;) {
-        const auto i = static_cast<NodeId>(pick(1, cfg.n - 1));
-        if (used.insert(i).second) return i;
-      }
-    };
-    std::set<NodeId> failed, straggling, partitioned;
-    for (int k = pick(0, 2); k > 0; --k)
-      cfg.failures.pre_failed.push_back(fresh_node(failed));
-    for (int k = pick(0, 2); k > 0; --k)
-      cfg.failures.online.push_back(
-          {fresh_node(failed), static_cast<Step>(pick(3, 60))});
-    if (pick(0, 1) != 0) {
-      const Step down = static_cast<Step>(pick(5, 40));
-      cfg.failures.restarts.push_back(
-          {fresh_node(failed), down, down + static_cast<Step>(pick(1, 10))});
-    }
-    for (int k = pick(0, 2); k > 0; --k)
-      cfg.stragglers.push_back(
-          {fresh_node(straggling), static_cast<Step>(pick(2, 4))});
-    if (pick(0, 1) != 0) {
-      PartitionWindow pw;
-      pw.from = static_cast<Step>(pick(2, 20));
-      pw.until = pw.from + static_cast<Step>(pick(2, 15));
-      for (int k = pick(1, 4); k > 0; --k)
-        pw.members.push_back(fresh_node(partitioned));
-      cfg.partitions.push_back(pw);
-    }
-
-    const Algo algo =
-        std::array{Algo::kGos, Algo::kOcg, Algo::kCcg, Algo::kFcg}[
-            static_cast<std::size_t>(pick(0, 3))];
-    AlgoConfig acfg = algo_cfg(algo);
-    acfg.reliable.enabled = pick(0, 1) != 0;
-
-    auto canonical_jsonl = [&](EngineKind kind, int threads) {
-      VectorTrace trace;
-      RunConfig tcfg = cfg;
-      tcfg.trace = &trace;
-      run_once(algo, acfg, tcfg, {kind, threads});
-      std::vector<TraceEvent> events = trace.events();
-      obs::canonical_sort(events);
-      return obs::to_jsonl(events);
-    };
-
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " algo=" +
-                 std::string(algo_name(algo)) + " n=" + std::to_string(cfg.n));
-    const std::string serial = canonical_jsonl(EngineKind::kStepped, 1);
-    ASSERT_FALSE(serial.empty());
-    ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 1));
-    if (seed % 5 == 0) {
-      ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 2));
-    }
-    if (seed % 10 == 0) {
-      ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 3));
-      ASSERT_EQ(serial, canonical_jsonl(EngineKind::kSharded, 5));
-    }
   }
 }
 
@@ -680,28 +552,30 @@ class NapNode {
 };
 
 struct NapRun {
-  std::string metrics;  ///< RunMetrics JSON
-  std::string trace;    ///< canonically sorted JSONL
+  Observed seen;
   std::int64_t callbacks_tick = 0;
   std::int64_t ticks_counted = 0;  ///< on_tick calls the nodes counted
-  Step t_end = 0;
 };
 
+/// Observe a NapNode run: stepped for `shards` == 0, else sharded.
 template <bool kHook>
 NapRun run_nap(RunConfig cfg, typename NapNode<kHook>::Params p, int shards) {
   std::atomic<std::int64_t> ticks{0};
   p.ticks = &ticks;
-  VectorTrace trace;
   EngineProfile prof;
-  cfg.trace = &trace;
   cfg.profile = &prof;
-  const RunMetrics m =
-      shards == 0 ? Engine<NapNode<kHook>>(cfg, p).run()
-                  : ShardedEngine<NapNode<kHook>>(cfg, p, shards).run();
-  std::vector<TraceEvent> events = trace.events();
-  obs::canonical_sort(events);
-  return {obs::to_json(m), obs::to_jsonl(events), prof.callbacks_tick,
-          ticks.load(), m.t_end};
+  const ExecConfig exec{
+      shards == 0 ? EngineKind::kStepped : EngineKind::kSharded,
+      std::max(shards, 1)};
+  NapRun r{observe<NapNode<kHook>>(cfg, p, exec)};
+  r.callbacks_tick = prof.callbacks_tick;
+  r.ticks_counted = ticks.load();
+  return r;
+}
+
+bool ends_at(const NapRun& r, Step t_end) {
+  return r.seen.metrics.find("\"t_end\":" + std::to_string(t_end) + ",") !=
+         std::string::npos;
 }
 
 RunConfig nap_cfg(RxPolicy rx, bool faults) {
@@ -728,10 +602,11 @@ TEST(SleepContract, NapNodeMatchesAcrossEnginesAndHiddenHook) {
                  (faults ? " + crash/restart" : ""));
     const RunConfig cfg = nap_cfg(rx, faults);
     const NapRun stepped = run_nap<true>(cfg, {}, 0);
-    ASSERT_FALSE(stepped.trace.empty());
+    ASSERT_FALSE(stepped.seen.events.empty());
     if (faults) {
-      EXPECT_NE(stepped.trace.find("\"fail\""), std::string::npos);
-      EXPECT_NE(stepped.trace.find("\"restart\""), std::string::npos);
+      const std::string trace = stepped.seen.trace();
+      EXPECT_NE(trace.find("\"fail\""), std::string::npos);
+      EXPECT_NE(trace.find("\"restart\""), std::string::npos);
     }
     EXPECT_EQ(stepped.callbacks_tick, stepped.ticks_counted);
 
@@ -739,8 +614,7 @@ TEST(SleepContract, NapNodeMatchesAcrossEnginesAndHiddenHook) {
     for (const int shards : {0, 3}) {
       SCOPED_TRACE("hook hidden, shards=" + std::to_string(shards));
       const NapRun awake = run_nap<false>(cfg, {}, shards);
-      EXPECT_EQ(stepped.metrics, awake.metrics);
-      EXPECT_EQ(stepped.trace, awake.trace);
+      expect_same_observation(stepped.seen, awake.seen, "hook hidden");
       EXPECT_EQ(awake.callbacks_tick, awake.ticks_counted);
       EXPECT_GT(awake.callbacks_tick, 2 * stepped.callbacks_tick);
     }
@@ -748,8 +622,7 @@ TEST(SleepContract, NapNodeMatchesAcrossEnginesAndHiddenHook) {
     for (const int shards : {1, 2, 3, 5, 8}) {
       SCOPED_TRACE("shards=" + std::to_string(shards));
       const NapRun sh = run_nap<true>(cfg, {}, shards);
-      EXPECT_EQ(stepped.metrics, sh.metrics);
-      EXPECT_EQ(stepped.trace, sh.trace);
+      expect_same_observation(stepped.seen, sh.seen, "sharded");
       EXPECT_EQ(stepped.callbacks_tick, sh.callbacks_tick);
       EXPECT_EQ(sh.callbacks_tick, sh.ticks_counted);
     }
@@ -773,14 +646,12 @@ TEST(SleepContract, QuiescentRunJumpsToTheNextWake) {
                           std::chrono::steady_clock::now() - t0)
                           .count();
   EXPECT_LT(secs, 0.5);
-  EXPECT_EQ(stepped.t_end, p.horizon + 1);
+  EXPECT_TRUE(ends_at(stepped, p.horizon + 1));
   EXPECT_EQ(stepped.callbacks_tick, stepped.ticks_counted);
   for (const int shards : {1, 3}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const NapRun sh = run_nap<true>(cfg, p, shards);
-    EXPECT_EQ(stepped.t_end, sh.t_end);
-    EXPECT_EQ(stepped.metrics, sh.metrics);
-    EXPECT_EQ(stepped.trace, sh.trace);
+    expect_same_observation(stepped.seen, sh.seen, "sharded");
     EXPECT_EQ(stepped.callbacks_tick, sh.callbacks_tick);
   }
 }
@@ -800,13 +671,13 @@ TEST(SleepContract, CrashesOfSleepersEndTheRunOnTime) {
   p.period = 2 * p.horizon;
 
   const NapRun stepped = run_nap<true>(cfg, p, 0);
-  EXPECT_EQ(stepped.t_end, 1000 + cfg.n);
-  EXPECT_NE(stepped.metrics.find("\"hit_max_steps\":false"), std::string::npos);
+  EXPECT_TRUE(ends_at(stepped, 1000 + cfg.n));
+  EXPECT_NE(stepped.seen.metrics.find("\"hit_max_steps\":false"),
+            std::string::npos);
   for (const int shards : {1, 2, 5}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    const NapRun sh = run_nap<true>(cfg, p, shards);
-    EXPECT_EQ(stepped.metrics, sh.metrics);
-    EXPECT_EQ(stepped.trace, sh.trace);
+    expect_same_observation(stepped.seen, run_nap<true>(cfg, p, shards).seen,
+                            "sharded");
   }
 }
 

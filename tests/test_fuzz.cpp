@@ -1,10 +1,14 @@
 // Randomized configuration fuzzing: hundreds of random universes (size,
 // LogP, gossip length, failures, jitter, rx policy) checked against the
-// universal invariants.  Any violation prints the reproducing config.
+// universal invariants, and the differential generator's fault stacks
+// (differential.hpp) with one field pushed out of range, each of which
+// config_error() must reject.  Any violation prints the reproducing config.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
+#include "differential.hpp"
 #include "harness/runner.hpp"
 
 namespace cg {
@@ -131,6 +135,100 @@ TEST(Fuzz, FailingUniverses) {
       c.online_failures = 0;
     }
     check_invariants(c, run_fuzz(c));
+  }
+}
+
+// --- Drawn fault stacks against config_error() ------------------------------
+
+/// The lowest non-root node no crash, Byzantine or straggler list names.
+NodeId spare_node(const RunConfig& cfg) {
+  std::set<NodeId> used = {cfg.root};
+  for (const NodeId i : cfg.failures.pre_failed) used.insert(i);
+  for (const auto& of : cfg.failures.online) used.insert(of.node);
+  for (const auto& r : cfg.failures.restarts) used.insert(r.node);
+  for (const auto& bn : cfg.byzantine.nodes) used.insert(bn.node);
+  for (const auto& s : cfg.stragglers) used.insert(s.node);
+  NodeId i = 0;
+  while (used.count(i) != 0) ++i;
+  return i;
+}
+
+/// One field out of range, as validate.cpp checks it, and the words its
+/// error must contain.  `spare` is an otherwise unlisted node.
+struct Mutation {
+  const char* name;
+  const char* error;
+  void (*apply)(RunConfig& cfg, NodeId spare, std::uint64_t seed);
+};
+
+const Mutation kMutations[] = {
+    {"drop > 1", "drop_prob",
+     [](RunConfig& cfg, NodeId, std::uint64_t) { cfg.drop_prob = 1.25; }},
+    {"burst probability > 1", "burst-loss probabilities",
+     [](RunConfig& cfg, NodeId, std::uint64_t) { cfg.burst.loss_bad = 1.5; }},
+    {"node id >= n", "out of range",
+     [](RunConfig& cfg, NodeId, std::uint64_t seed) {
+       const NodeId n = cfg.n;
+       switch (seed % 6) {
+         case 0: cfg.failures.pre_failed.push_back(n); break;
+         case 1: cfg.failures.online.push_back({n, 5}); break;
+         case 2: cfg.failures.restarts.push_back({n, 5, 9}); break;
+         case 3: cfg.byzantine.nodes.push_back({n, ByzMode::kSilent}); break;
+         case 4: cfg.stragglers.push_back({n, 2}); break;
+         default: cfg.partitions.push_back({2, 5, {n}}); break;
+       }
+     }},
+    {"node failing twice", "scheduled to fail twice",
+     [](RunConfig& cfg, NodeId spare, std::uint64_t) {
+       cfg.failures.pre_failed.push_back(spare);
+       cfg.failures.online.push_back({spare, 5});
+     }},
+    {"partition until <= from", "from < until",
+     [](RunConfig& cfg, NodeId spare, std::uint64_t) {
+       cfg.partitions.push_back({7, 7, {spare}});
+     }},
+    {"byzantine node also crash-scheduled", "both byzantine",
+     [](RunConfig& cfg, NodeId spare, std::uint64_t) {
+       cfg.failures.online.push_back({spare, 5});
+       cfg.byzantine.nodes.push_back({spare, ByzMode::kSilent});
+     }},
+    {"straggler factor < 1", "straggler factor",
+     [](RunConfig& cfg, NodeId spare, std::uint64_t) {
+       cfg.stragglers.push_back({spare, 0});
+     }},
+    {"negative jitter", "jitter_max",
+     [](RunConfig& cfg, NodeId, std::uint64_t) { cfg.jitter_max = -1; }},
+};
+
+TEST(Fuzz, DrawnCasesWithOneFieldOutOfRangeAreRejected) {
+  for (std::uint64_t seed = 0; seed < 500; ++seed) {
+    const DiffCase c = draw_case(seed);
+    SCOPED_TRACE(describe(c));
+    ASSERT_EQ(config_error(c.cfg), "");
+    const NodeId spare = spare_node(c.cfg);
+    for (const Mutation& mut : kMutations) {
+      RunConfig bad = c.cfg;
+      mut.apply(bad, spare, seed);
+      EXPECT_NE(config_error(bad).find(mut.error), std::string::npos)
+          << mut.name << ": got \"" << config_error(bad) << '"';
+    }
+  }
+}
+
+// Unmutated draws (seeds past the differential sweep's) run to the end on
+// both engines with equal metrics and consistent node accounting.
+TEST(Fuzz, DrawnCasesRunToTheEndOnBothEngines) {
+  for (std::uint64_t seed = 1000; seed < 1100; ++seed) {
+    const DiffCase c = draw_case(seed);
+    SCOPED_TRACE(describe(c));
+    const RunMetrics m =
+        run_once(c.algo, c.acfg, c.cfg, {EngineKind::kStepped, 1});
+    EXPECT_FALSE(m.hit_max_steps);
+    EXPECT_LE(m.n_colored, m.n_active);
+    EXPECT_LE(m.n_active, m.n_total);
+    EXPECT_EQ(obs::to_json(m),
+              obs::to_json(run_once(c.algo, c.acfg, c.cfg,
+                                    {EngineKind::kSharded, 2})));
   }
 }
 

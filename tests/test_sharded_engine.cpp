@@ -4,18 +4,18 @@
 // shard count the run must be bit-identical - same canonical trace bytes,
 // same serialized metrics, same t_end - because shards only exchange
 // messages at delivery-window boundaries in canonical (sent_at, sender)
-// order and every RNG stream is owned by exactly one node or sender.
+// order and every RNG stream is owned by exactly one node or sender.  The
+// randomized fault-stack sweep over shard counts is test_differential.cpp.
 //
 // These tests carry the ctest label `sanitize`, so the tsan preset runs
 // the multi-shard executions under ThreadSanitizer.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <random>
-#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "differential.hpp"
 #include "gossip/ccg.hpp"
 #include "gossip/fcg.hpp"
 #include "gossip/gos.hpp"
@@ -40,93 +40,6 @@ AlgoConfig algo_cfg(Algo algo) {
   if (algo == Algo::kOcg) acfg.ocg_corr_sends = 10;
   if (algo == Algo::kFcg) acfg.fcg_f = 2;
   return acfg;
-}
-
-struct ShardRun {
-  std::string trace_jsonl;  ///< canonically sorted JSONL trace
-  std::string metrics_json; ///< obs::to_json of the RunMetrics
-  Step t_end = 0;
-};
-
-ShardRun run_sharded(Algo algo, const AlgoConfig& acfg, const RunConfig& base,
-                     int shards) {
-  VectorTrace trace;
-  RunConfig cfg = base;
-  cfg.trace = &trace;
-  cfg.record_node_detail = true;
-  const RunMetrics m = run_once(algo, acfg, cfg, {EngineKind::kSharded, shards});
-  std::vector<TraceEvent> events = trace.events();
-  obs::canonical_sort(events);
-  return {obs::to_jsonl(events), obs::to_json(m), m.t_end};
-}
-
-// ~100-seed randomized sweep: a fresh full fault stack per seed (jitter,
-// i.i.d. + burst loss, pre/online failures, crash-restarts, stragglers,
-// partitions, reliable sublayer, both rx policies, all four protocols).
-// The canonical trace AND the serialized report metrics must be
-// BYTE-IDENTICAL across shard counts {1, 2, 8}.
-TEST(ShardedEngine, ShardCountInvarianceUnderFaultStacks) {
-  constexpr int kSeeds = 100;
-  for (int seed = 1; seed <= kSeeds; ++seed) {
-    std::mt19937_64 gen(0xD1B54A32D192ED03ull * static_cast<unsigned>(seed));
-    auto pick = [&](int lo, int hi) {  // inclusive
-      return lo + static_cast<int>(gen() % static_cast<unsigned>(hi - lo + 1));
-    };
-
-    RunConfig cfg;
-    cfg.n = pick(40, 160);
-    cfg.logp = (pick(0, 1) != 0) ? LogP::piz_daint() : LogP::unit();
-    cfg.seed = static_cast<std::uint64_t>(seed) * 6151u;
-    cfg.rx = (pick(0, 1) != 0) ? RxPolicy::kOnePerStep : RxPolicy::kDrainAll;
-    cfg.jitter_max = pick(0, 2);
-    cfg.drop_prob = 0.01 * pick(0, 3);
-    if (pick(0, 1) != 0)
-      cfg.burst = BurstLoss::from_rate(0.01 * pick(2, 6), pick(2, 5));
-    auto fresh_node = [&](std::set<NodeId>& used) {
-      for (;;) {
-        const auto i = static_cast<NodeId>(pick(1, cfg.n - 1));
-        if (used.insert(i).second) return i;
-      }
-    };
-    std::set<NodeId> failed, straggling, partitioned;
-    for (int k = pick(0, 2); k > 0; --k)
-      cfg.failures.pre_failed.push_back(fresh_node(failed));
-    for (int k = pick(0, 2); k > 0; --k)
-      cfg.failures.online.push_back(
-          {fresh_node(failed), static_cast<Step>(pick(3, 50))});
-    if (pick(0, 1) != 0) {
-      const Step down = static_cast<Step>(pick(5, 35));
-      cfg.failures.restarts.push_back(
-          {fresh_node(failed), down, down + static_cast<Step>(pick(1, 10))});
-    }
-    for (int k = pick(0, 2); k > 0; --k)
-      cfg.stragglers.push_back(
-          {fresh_node(straggling), static_cast<Step>(pick(2, 4))});
-    if (pick(0, 1) != 0) {
-      PartitionWindow pw;
-      pw.from = static_cast<Step>(pick(2, 18));
-      pw.until = pw.from + static_cast<Step>(pick(2, 12));
-      for (int k = pick(1, 4); k > 0; --k)
-        pw.members.push_back(fresh_node(partitioned));
-      cfg.partitions.push_back(pw);
-    }
-
-    const Algo algo =
-        std::array{Algo::kGos, Algo::kOcg, Algo::kCcg, Algo::kFcg}[
-            static_cast<std::size_t>(pick(0, 3))];
-    AlgoConfig acfg = algo_cfg(algo);
-    acfg.reliable.enabled = pick(0, 1) != 0;
-
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " algo=" +
-                 std::string(algo_name(algo)) + " n=" + std::to_string(cfg.n));
-    const ShardRun one = run_sharded(algo, acfg, cfg, 1);
-    ASSERT_FALSE(one.trace_jsonl.empty());
-    for (const int shards : {2, 8}) {
-      const ShardRun multi = run_sharded(algo, acfg, cfg, shards);
-      ASSERT_EQ(one.trace_jsonl, multi.trace_jsonl) << shards << " shards";
-      ASSERT_EQ(one.metrics_json, multi.metrics_json) << shards << " shards";
-    }
-  }
 }
 
 // The sharded engine agrees with the stepped reference INCLUDING t_end:
@@ -248,31 +161,23 @@ TEST(ShardedEngine, DirectConstruction) {
 
 // --- Scenarios against the stepped oracle ----------------------------------
 
-std::string canonical(const VectorTrace& t) {
-  std::vector<TraceEvent> events = t.events();
-  obs::canonical_sort(events);
-  return obs::to_jsonl(events);
+// Runs `cfg` on the stepped engine and on the sharded engine at 1, 3 and 5
+// shards; canonical traces, serialized metrics (t_end and per-node detail
+// included) and telemetry must be identical.  Returns the stepped run.
+template <class Node>
+Observed expect_matches_stepped(const RunConfig& cfg,
+                                const typename Node::Params& p) {
+  const Observed stepped = observe<Node>(cfg, p, {EngineKind::kStepped, 1});
+  for (const int shards : {1, 3, 5}) {
+    const ExecConfig exec{EngineKind::kSharded, shards};
+    expect_same_observation(stepped, observe<Node>(cfg, p, exec),
+                            std::to_string(shards) + " shards");
+  }
+  return stepped;
 }
 
-// Runs `base` on the stepped engine and on the sharded engine at 1, 3 and 5
-// shards; serialized metrics (t_end included) and canonical traces must be
-// identical.  Returns the stepped run's metrics and trace.
-template <class Node>
-std::pair<RunMetrics, VectorTrace> expect_matches_stepped(
-    const RunConfig& base, const typename Node::Params& p) {
-  VectorTrace stepped_trace;
-  RunConfig cfg = base;
-  cfg.trace = &stepped_trace;
-  const RunMetrics stepped = Engine<Node>(cfg, p).run();
-  for (const int shards : {1, 3, 5}) {
-    VectorTrace trace;
-    cfg.trace = &trace;
-    const RunMetrics sh = ShardedEngine<Node>(cfg, p, shards).run();
-    SCOPED_TRACE(std::to_string(shards) + " shards");
-    EXPECT_EQ(obs::to_json(stepped), obs::to_json(sh));
-    EXPECT_EQ(canonical(stepped_trace), canonical(trace));
-  }
-  return {stepped, std::move(stepped_trace)};
+bool has(const Observed& o, const char* metric) {
+  return o.metrics.find(metric) != std::string::npos;
 }
 
 RunConfig unit_cfg(NodeId n, std::uint64_t seed) {
@@ -312,7 +217,8 @@ TEST(ShardedEngine, MatchesWithHeterogeneousLinks) {
   CcgNode::Params p;
   p.T = 15;
   p.drain_extra = 4;
-  EXPECT_TRUE(expect_matches_stepped<CcgNode>(cfg, p).first.all_active_colored);
+  EXPECT_TRUE(has(expect_matches_stepped<CcgNode>(cfg, p),
+                  "\"all_active_colored\":true"));
 }
 
 TEST(ShardedEngine, SosPathMatches) {
@@ -321,8 +227,8 @@ TEST(ShardedEngine, SosPathMatches) {
   FcgNode::Params p;
   p.T = 0;
   p.f = 1;
-  EXPECT_TRUE(
-      expect_matches_stepped<FcgNode>(unit_cfg(24, 2), p).first.sos_triggered);
+  EXPECT_TRUE(has(expect_matches_stepped<FcgNode>(unit_cfg(24, 2), p),
+                  "\"sos_triggered\":true"));
 }
 
 // Minimal protocol that leaves the network quiet for a stretch: the root
@@ -380,9 +286,11 @@ TEST(ShardedEngine, CrashBeatsSameStepArrivalAfterQuietStretch) {
   cfg.logp = LogP{.l_over_o = 7, .o_us = 1.0};  // delivery delay = 8 steps
   cfg.seed = 1;
   cfg.failures.online.push_back({2, 16});  // node 2 dies at the arrival step
-  const VectorTrace trace =
-      expect_matches_stepped<QuietRelayNode>(cfg, {}).second;
-  for (const TraceEvent& ev : trace.events()) {
+  std::istringstream trace(
+      expect_matches_stepped<QuietRelayNode>(cfg, {}).trace());
+  for (std::string line; std::getline(trace, line);) {
+    TraceEvent ev;
+    ASSERT_TRUE(obs::from_jsonl(line, ev)) << line;
     if (ev.node == 2) {
       EXPECT_EQ(ev.kind, TraceEvent::Kind::kFail);
     }
@@ -394,7 +302,8 @@ TEST(ShardedEngine, MaxStepsSafety) {
   cfg.max_steps = 5;
   GosNode::Params p;
   p.T = 100;  // would run far longer
-  EXPECT_TRUE(expect_matches_stepped<GosNode>(cfg, p).first.hit_max_steps);
+  EXPECT_TRUE(has(expect_matches_stepped<GosNode>(cfg, p),
+                  "\"hit_max_steps\":true"));
 }
 
 // --- SoA substrate units ---------------------------------------------------

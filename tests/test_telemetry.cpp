@@ -1,7 +1,7 @@
 // Scale-ready telemetry: LogHistogram bucket math, the per-shard registry's
-// cross-engine determinism (fingerprints byte-identical across the stepped
-// engine and the sharded engine at shard counts {1,2,3,5,8}, over a
-// 100-seed fault-stack sweep), the deterministic reservoir trace sampler,
+// fingerprint (its cross-engine determinism over random fault stacks is
+// checked by the differential sweep, test_differential.cpp), the
+// deterministic reservoir trace sampler,
 // the flight recorder's ring + dump/parse round-trip and its campaign
 // integration (a forced guarantee failure produces an artifact that is the
 // exact suffix of the stepped replay), the heartbeat channel, the streaming
@@ -10,22 +10,21 @@
 //
 // Carries the ctest label `sanitize`: the tsan preset exercises the
 // multi-shard recording paths and concurrent heartbeats under
-// ThreadSanitizer (the allocation guard compiles out there, as in
-// test_trial_farm.cpp).
+// ThreadSanitizer (the allocation guard of alloc_counter.hpp compiles out
+// there).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "harness/campaign.hpp"
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
@@ -36,57 +35,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace_sinks.hpp"
 #include "sim/trace.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter (same pattern as test_trial_farm.cpp: sanitizer
-// builds own operator new themselves, so the guard compiles out there).
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CG_ALLOC_COUNTING 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define CG_ALLOC_COUNTING 0
-#endif
-#endif
-#ifndef CG_ALLOC_COUNTING
-#define CG_ALLOC_COUNTING 1
-#endif
-
-#if CG_ALLOC_COUNTING
-
-namespace {
-std::atomic<std::int64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(al), size ? size : 1) != 0)
-    throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-#endif  // CG_ALLOC_COUNTING
 
 namespace cg {
 namespace {
@@ -205,67 +153,6 @@ TEST(Telemetry, WindowBoundaryExcludedFromFingerprint) {
   a.finish_run(m);
   b.finish_run(m);
   EXPECT_EQ(a.invariant_fingerprint(), b.invariant_fingerprint());
-}
-
-// --- Cross-engine determinism sweep ---------------------------------------
-
-// The full fault stack from the parity suite, scaled for a 100-seed sweep.
-RunConfig sweep_cfg(std::uint64_t seed) {
-  RunConfig cfg;
-  cfg.n = 96;
-  cfg.logp = LogP::piz_daint();
-  cfg.seed = seed;
-  cfg.jitter_max = 1;
-  cfg.drop_prob = 0.02;
-  cfg.burst = BurstLoss::from_rate(0.05, 4);
-  cfg.failures.online.push_back({50, 14});
-  cfg.failures.restarts.push_back({21, 10, 26});
-  cfg.stragglers.push_back({11, 3});
-  cfg.partitions.push_back({12, 20, {33, 34, 35}});
-  return cfg;
-}
-
-struct EngineRun {
-  std::string fingerprint;
-  std::string sample;
-};
-
-EngineRun run_with_telemetry(const RunConfig& base, const ExecConfig& exec) {
-  AlgoConfig acfg;
-  acfg.T = 24;
-  acfg.drain_extra = 2;
-  acfg.reliable.enabled = true;  // exercise the retransmit histogram
-  RunConfig cfg = base;
-  Telemetry tel;
-  obs::SamplingTraceSink sampler(cfg.seed, 64);
-  cfg.telemetry = &tel;
-  cfg.trace = &sampler;
-  run_once(Algo::kCcg, acfg, cfg, exec);
-  return {tel.invariant_fingerprint(), obs::to_jsonl(sampler.sample())};
-}
-
-TEST(TelemetryDeterminism, HundredSeedSweepAcrossEnginesShardsThreads) {
-  const ExecConfig variants[] = {
-      {EngineKind::kSharded, 1}, {EngineKind::kSharded, 2},
-      {EngineKind::kSharded, 3}, {EngineKind::kSharded, 5},
-      {EngineKind::kSharded, 8},
-  };
-  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    const RunConfig cfg = sweep_cfg(seed);
-    const EngineRun ref =
-        run_with_telemetry(cfg, {EngineKind::kStepped, 1});
-    EXPECT_FALSE(ref.fingerprint.empty());
-    EXPECT_FALSE(ref.sample.empty());
-    for (const auto& exec : variants) {
-      const EngineRun got = run_with_telemetry(cfg, exec);
-      ASSERT_EQ(ref.fingerprint, got.fingerprint)
-          << "seed " << seed << " engine " << engine_name(exec.engine) << "/"
-          << exec.threads;
-      ASSERT_EQ(ref.sample, got.sample)
-          << "seed " << seed << " engine " << engine_name(exec.engine) << "/"
-          << exec.threads;
-    }
-  }
 }
 
 // --- SamplingTraceSink -----------------------------------------------------

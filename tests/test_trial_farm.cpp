@@ -5,69 +5,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <stdexcept>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "harness/campaign.hpp"
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "obs/report.hpp"
 #include "runtime/thread_pool.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter.  Sanitizer builds own operator new themselves
-// (interceptors + annotations), so the counting overrides - and the tests
-// that depend on them - compile out there; the alloc contract is pinned by
-// the plain Release/Debug ctest runs.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CG_ALLOC_COUNTING 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define CG_ALLOC_COUNTING 0
-#endif
-#endif
-#ifndef CG_ALLOC_COUNTING
-#define CG_ALLOC_COUNTING 1
-#endif
-
-#if CG_ALLOC_COUNTING
-
-namespace {
-std::atomic<std::int64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(al), size ? size : 1) != 0)
-    throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-#endif  // CG_ALLOC_COUNTING
 
 namespace cg {
 namespace {
@@ -340,18 +286,26 @@ TrialSpec clean_spec() {
   return spec;
 }
 
+// Warm pass, then a replay of the same trials on one workspace, on the
+// stepped engine and on the sharded engine at one shard: the replay must
+// reuse every buffer (slabs, calendar slots, shard state, scratch).
+void expect_zero_alloc_replay(TrialSpec spec) {
+  for (const ExecConfig exec : {ExecConfig{EngineKind::kStepped, 1},
+                                ExecConfig{EngineKind::kSharded, 1}}) {
+    SCOPED_TRACE(engine_name(exec.engine));
+    spec.exec = exec;
+    TrialWorkspace ws;
+    for (int t = 0; t < 32; ++t) ws.run(spec, t);
+    const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (int t = 0; t < 32; ++t) ws.run(spec, t);
+    const std::int64_t delta =
+        g_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(delta, 0) << "per-trial heap allocations regressed";
+  }
+}
+
 TEST(TrialFarm, WorkspaceZeroAllocSteadyState) {
-  const TrialSpec spec = clean_spec();
-  TrialWorkspace ws;
-  // Warm pass: slabs, calendar slots, and scratch vectors reach their
-  // high-water capacities for these exact trials.
-  for (int t = 0; t < 32; ++t) ws.run(spec, t);
-  // Steady state: replaying the same trials must reuse every buffer.
-  const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
-  for (int t = 0; t < 32; ++t) ws.run(spec, t);
-  const std::int64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(delta, 0) << "per-trial heap allocations regressed";
+  expect_zero_alloc_replay(clean_spec());
 }
 
 TEST(TrialFarm, SbrbWorkspaceZeroAllocSteadyState) {
@@ -363,13 +317,7 @@ TEST(TrialFarm, SbrbWorkspaceZeroAllocSteadyState) {
   spec.algo = Algo::kSbrb;
   spec.acfg.sbrb_eps = 1e-3;
   spec.acfg.sbrb_byz_frac = 0.1;
-  TrialWorkspace ws;
-  for (int t = 0; t < 32; ++t) ws.run(spec, t);
-  const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
-  for (int t = 0; t < 32; ++t) ws.run(spec, t);
-  const std::int64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(delta, 0) << "per-trial SBRB heap allocations regressed";
+  expect_zero_alloc_replay(spec);
 }
 
 TEST(TrialFarm, FarmAllocationsAmortized) {
